@@ -32,7 +32,6 @@ from .permstat import (
     euler_mahonian,
     eulerian,
     major_index,
-    verify_theorem1,
 )
 from .poset import (
     CycleDetected,
@@ -61,6 +60,7 @@ from .series import (
     expand_rational,
     geometric_series,
 )
+from .verify import VerifyReport, verify_theorem1
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,7 @@ __all__ = [
     "eulerian",
     "djsw_recursion",
     "verify_theorem1",
+    "VerifyReport",
     "DTooLarge",
     "Poset",
     "DiamondSpec",

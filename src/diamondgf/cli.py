@@ -1,5 +1,5 @@
 """Command line front end: polynomial printing, coefficient tables, and
-pass/fail verification reports.
+pass/fail verification reports from ``diamondgf.verify``.
 
 Exit codes: 0 computed/verified, 1 mathematical mismatch, 2 usage or parse
 error (including guard violations without --force).
@@ -10,296 +10,48 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import diamonds, oracle, permstat, poset as posets, series
+from . import diamonds, oracle, permstat, poset as posets, series, verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class VerifyReport:
-    """Outcome of one verification target. ``status`` is "fail" exactly when
-    a mismatch detail is present."""
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
 
-    command: str
-    parameters: dict
-    status: str
-    mismatch: Optional[dict] = None
-    details: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def as_json_dict(self) -> dict:
-        # Deterministic: identical invocations must serialize identically,
-        # so the elapsed time stays out.
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "status": self.status,
-            "mismatch": self.mismatch,
-            "details": self.details,
-        }
-
-    def text(self) -> str:
-        lines = [f"command: {self.command}"]
-        if self.parameters:
-            lines.append(
-                "parameters: " + " ".join(f"{k}={v}" for k, v in self.parameters.items())
-            )
-        lines.extend(f"  {detail}" for detail in self.details)
-        if self.mismatch is not None:
-            lines.append("mismatch: " + json.dumps(self.mismatch, sort_keys=True))
-        lines.append(f"status: {self.status}")
-        lines.append(f"elapsed: {self.elapsed:.3f}s")
-        return "\n".join(lines)
+    parse.__name__ = "int"  # argparse names the type when the text is not an integer
+    return parse
 
 
-def _series_mismatch(
-    left_name: str,
-    left: series.TruncSeries2,
-    right_name: str,
-    right: series.TruncSeries2,
-) -> Optional[dict]:
-    diff = left.first_difference(right)
-    if diff is None:
-        return None
-    mono, lc, rc = diff
-    return {
-        "monomial": [mono.exp_a, mono.exp_b],
-        "lhs": left_name,
-        "rhs": right_name,
-        "lhs_coefficient": str(lc),
-        "rhs_coefficient": str(rc),
-    }
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
 
 
-def _coeff_mismatch(
-    left_name: str, left: Sequence[int], right_name: str, right: Sequence[int]
-) -> Optional[dict]:
-    for n, (lc, rc) in enumerate(zip(left, right)):
-        if lc != rc:
-            return {
-                "power": n,
-                "lhs": left_name,
-                "rhs": right_name,
-                "lhs_coefficient": str(lc),
-                "rhs_coefficient": str(rc),
-            }
-    if len(left) != len(right):
-        return {
-            "power": min(len(left), len(right)),
-            "lhs": left_name,
-            "rhs": right_name,
-            "lhs_coefficient": "absent" if len(left) < len(right) else str(left[len(right)]),
-            "rhs_coefficient": "absent" if len(right) < len(left) else str(right[len(left)]),
-        }
-    return None
-
-
-def _finish(report: VerifyReport, start: float) -> VerifyReport:
-    report.elapsed = time.monotonic() - start
-    if report.mismatch is not None:
-        report.status = "fail"
-    return report
-
-
-# --- verification targets ---------------------------------------------------
-
-
-def verify_theorem1_report(dmax: int, max_d: int = permstat.MAX_ENUM_D) -> VerifyReport:
-    start = time.monotonic()
-    result = permstat.verify_theorem1(dmax, max_d)
-    report = VerifyReport(
-        command="verify theorem1",
-        parameters={"dmax": dmax},
-        status="pass" if result.all_equal else "fail",
-    )
-    for entry in result.entries:
-        verdict = "equal" if entry.equal else "DIFFER"
-        report.details.append(
-            f"d={entry.d}: {verdict} "
-            f"(recursion {entry.recursion_terms} terms, enumeration {entry.enumeration_terms} terms)"
-        )
-        if entry.first_difference is not None and report.mismatch is None:
-            mono, rc, ec = entry.first_difference
-            report.mismatch = {
-                "d": entry.d,
-                "monomial": [mono.exp_a, mono.exp_b],
-                "lhs": "recursion",
-                "rhs": "enumeration",
-                "lhs_coefficient": str(rc),
-                "rhs_coefficient": str(ec),
-            }
-    return _finish(report, start)
-
-
-def verify_main_report(
-    d: int,
-    length: int,
-    truncation: int,
-    max_d: int = permstat.MAX_ENUM_D,
-    max_size: int = posets.MAX_JH_SIZE,
-) -> VerifyReport:
-    start = time.monotonic()
-    spec = posets.DiamondSpec.uniform(d, length)
-    closed = diamonds.sigma_closed(d, length, truncation, max_d)
-    diamond_poset, tags = posets.build_diamond_poset(spec)
-    stanley = posets.stanley_sigma(diamond_poset, tags, truncation, max_size)
-    enumerated = oracle.enumerate_diamonds(spec, truncation)
-    report = VerifyReport(
-        command="verify main",
-        parameters={"d": d, "M": length, "trunc": truncation},
-        status="pass",
-    )
-    report.mismatch = _series_mismatch(
-        "closed", closed, "stanley", stanley
-    ) or _series_mismatch("closed", closed, "oracle", enumerated)
-    report.details.append(f"closed form: {len(closed.terms)} terms through degree {truncation}")
-    if report.mismatch is None:
-        report.details.append("closed == stanley == oracle")
-    return _finish(report, start)
-
-
-def verify_multifold_report(
-    folds: Sequence[int],
-    truncation: int,
-    max_d: int = permstat.MAX_ENUM_D,
-) -> VerifyReport:
-    start = time.monotonic()
-    spec = posets.DiamondSpec(tuple(folds))
-    closed = diamonds.sigma_multifold_closed(spec, truncation, max_d)
-    enumerated = oracle.enumerate_diamonds(spec, truncation)
-    report = VerifyReport(
-        command="verify multifold",
-        parameters={"folds": ",".join(str(f) for f in spec.folds), "trunc": truncation},
-        status="pass",
-    )
-    report.mismatch = _series_mismatch("closed", closed, "oracle", enumerated)
-    report.details.append(f"fold sequence {spec.folds}, {len(closed.terms)} terms")
-    if len(set(spec.folds)) == 1:
-        uniform = diamonds.sigma_closed(spec.folds[0], spec.length, truncation, max_d)
-        if report.mismatch is None:
-            report.mismatch = _series_mismatch("multifold", closed, "uniform-closed", uniform)
-        report.details.append("uniform sequence: also compared against the single-d closed form")
-    return _finish(report, start)
-
-
-def verify_schmidt_report(
-    d: int,
-    length: int,
-    truncation: int,
-    max_d: int = permstat.MAX_ENUM_D,
-) -> VerifyReport:
-    start = time.monotonic()
-    closed = diamonds.schmidt_closed(d, length, truncation, max_d)
-    product = diamonds.schmidt_product(d, truncation, max_d)
-    enumerated = oracle.schmidt_oracle(d, length, truncation)
-    window = min(length, truncation)
-    report = VerifyReport(
-        command="verify schmidt",
-        parameters={"d": d, "M": length, "trunc": truncation},
-        status="pass",
-    )
-    report.mismatch = _coeff_mismatch("closed", closed, "oracle", enumerated) or _coeff_mismatch(
-        "closed", closed[: window + 1], "product", product[: window + 1]
-    )
-    report.details.append(
-        f"closed == oracle on 0..{truncation}; closed == product on 0..{window}"
-    )
-    return _finish(report, start)
-
-
-def verify_stanley_report(
-    count: int,
-    max_size: int,
-    truncation: int,
-    seed: int,
-) -> VerifyReport:
-    start = time.monotonic()
-    report = VerifyReport(
-        command="verify stanley",
-        parameters={"count": count, "max_size": max_size, "trunc": truncation, "seed": seed},
-        status="pass",
-    )
-    for index, (p, tags) in enumerate(oracle.random_poset_corpus(count, seed, max_size)):
-        lhs = posets.stanley_sigma(p, tags, truncation, max_size=max(posets.MAX_JH_SIZE, max_size))
-        rhs = oracle.enumerate_ppartitions(p, tags, truncation)
-        mismatch = _series_mismatch("stanley", lhs, "enumeration", rhs)
-        if mismatch is not None:
-            mismatch["poset_index"] = index
-            mismatch["covers"] = sorted(list(pair) for pair in p.covers)
-            report.mismatch = mismatch
-            break
-    report.details.append(
-        f"checked {count} random posets (size <= {max_size}, truncation {truncation}, seed {seed})"
-    )
-    return _finish(report, start)
-
-
-def verify_apr_report(truncation: int) -> VerifyReport:
-    start = time.monotonic()
-    product = diamonds.apr_product(truncation)
-    enumerated = oracle.enumerate_infinite_univariate(2, truncation)
-    stabilized = diamonds.sigma_closed(2, truncation, truncation).specialize_univariate()
-    recheck = diamonds.sigma_closed(2, truncation + 1, truncation).specialize_univariate()
-    report = VerifyReport(
-        command="verify apr",
-        parameters={"trunc": truncation},
-        status="pass",
-    )
-    report.mismatch = (
-        _coeff_mismatch("product", product, "oracle", enumerated)
-        or _coeff_mismatch("product", product, "closed(M=T)", stabilized)
-        or _coeff_mismatch("closed(M=T)", stabilized, "closed(M=T+1)", recheck)
-    )
-    report.details.append(f"coefficients 0..{truncation}: {series.coeffs_text(product[:8])} ...")
-    report.details.append("product == oracle == closed(M=T) == closed(M=T+1)")
-    return _finish(report, start)
-
-
-def verify_djsw_product_report(
-    d: int, truncation: int, max_d: int = permstat.MAX_ENUM_D
-) -> VerifyReport:
-    start = time.monotonic()
-    by_recursion = diamonds.djsw_product(d, truncation, max_d=max_d)
-    by_enumeration = diamonds.djsw_product(d, truncation, use_euler_mahonian=True, max_d=max_d)
-    enumerated = oracle.enumerate_infinite_univariate(d, truncation)
-    report = VerifyReport(
-        command="verify djsw-product",
-        parameters={"d": d, "trunc": truncation},
-        status="pass",
-    )
-    report.mismatch = _coeff_mismatch(
-        "product", by_recursion, "oracle", enumerated
-    ) or _coeff_mismatch("product", by_recursion, "product-from-enumeration", by_enumeration)
-    report.details.append(f"coefficients 0..{truncation}: {series.coeffs_text(by_recursion[:8])} ...")
-    return _finish(report, start)
+def _lift(args, guard: int, *needed: int) -> int:
+    """The guard to enforce: the default, or with --force one admitting every needed size."""
+    return max(guard, *needed) if args.force else guard
 
 
 # --- command handlers -------------------------------------------------------
 
 
-def _print_poly(poly, names: tuple[str, str], as_json: bool) -> None:
+def _print_terms(value, as_json: bool, names: tuple[str, str] = ("a", "b")) -> None:
+    """Print a polynomial or a truncated series."""
     if as_json:
-        print(json.dumps(series.poly_json(poly), sort_keys=True))
+        to_json = series.poly_json if isinstance(value, series.Poly2) else series.series_json
+        print(json.dumps(to_json(value), sort_keys=True))
     else:
-        print(poly.text(names))
-
-
-def _print_series(s, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(series.series_json(s), sort_keys=True))
-    else:
-        print(s.text())
+        print(value.text(names))
 
 
 def _print_coeffs(coeffs, as_json: bool) -> None:
@@ -310,22 +62,21 @@ def _print_coeffs(coeffs, as_json: bool) -> None:
 
 
 def _cmd_em(args) -> int:
-    max_d = max(permstat.MAX_ENUM_D, args.d) if args.force else permstat.MAX_ENUM_D
-    _print_poly(permstat.euler_mahonian(args.d, max_d), ("x", "y"), args.json)
+    max_d = _lift(args, permstat.MAX_ENUM_D, args.d)
+    _print_terms(permstat.euler_mahonian(args.d, max_d), args.json, ("x", "y"))
     return EXIT_OK
 
 
 def _cmd_recursion(args) -> int:
-    _print_poly(permstat.djsw_recursion(args.d), ("x", "y"), args.json)
+    _print_terms(permstat.djsw_recursion(args.d), args.json, ("x", "y"))
     return EXIT_OK
 
 
 def _parse_folds(text: str) -> tuple[int, ...]:
     try:
-        folds = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--folds expects comma-separated integers, got '{text}'") from None
-    return folds
 
 
 def _cmd_sigma(args) -> int:
@@ -336,19 +87,16 @@ def _cmd_sigma(args) -> int:
         print("error: one of --d or --folds is required", file=sys.stderr)
         return EXIT_USAGE
 
-    max_d = permstat.MAX_ENUM_D
     if args.folds is not None:
         spec = posets.DiamondSpec(_parse_folds(args.folds))
-        if args.force:
-            max_d = max(max_d, max(spec.folds))
+        max_d = _lift(args, permstat.MAX_ENUM_D, *spec.folds)
         if args.schmidt:
             print("error: --schmidt requires the uniform --d/--M form", file=sys.stderr)
             return EXIT_USAGE
         result = diamonds.sigma_multifold_closed(spec, args.trunc, max_d)
     else:
         length = args.M if args.M is not None else 1
-        if args.force:
-            max_d = max(max_d, args.d)
+        max_d = _lift(args, permstat.MAX_ENUM_D, args.d)
         if args.schmidt:
             _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc, max_d), args.json)
             return EXIT_OK
@@ -357,36 +105,29 @@ def _cmd_sigma(args) -> int:
     if args.a_eq_b:
         _print_coeffs(result.specialize_univariate(), args.json)
     else:
-        _print_series(result, args.json)
+        _print_terms(result, args.json)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    target = args.target
+    target, max_d = args.target, permstat.MAX_ENUM_D
     if target == "theorem1":
-        max_d = max(permstat.MAX_ENUM_D, args.dmax) if args.force else permstat.MAX_ENUM_D
-        report = verify_theorem1_report(args.dmax, max_d)
+        report = verify.verify_theorem1(args.dmax, _lift(args, max_d, args.dmax))
     elif target == "main":
-        spec = posets.DiamondSpec.uniform(args.d, args.M)
-        max_d = max(permstat.MAX_ENUM_D, args.d) if args.force else permstat.MAX_ENUM_D
-        max_size = (
-            max(posets.MAX_JH_SIZE, spec.element_count) if args.force else posets.MAX_JH_SIZE
-        )
-        report = verify_main_report(args.d, args.M, args.trunc, max_d, max_size)
+        size = posets.DiamondSpec.uniform(args.d, args.M).element_count
+        limits = _lift(args, max_d, args.d), _lift(args, posets.MAX_JH_SIZE, size)
+        report = verify.verify_main(args.d, args.M, args.trunc, *limits)
     elif target == "multifold":
         folds = _parse_folds(args.folds)
-        max_d = max((permstat.MAX_ENUM_D, *folds)) if args.force else permstat.MAX_ENUM_D
-        report = verify_multifold_report(folds, args.trunc, max_d)
+        report = verify.verify_multifold(folds, args.trunc, _lift(args, max_d, *folds))
     elif target == "schmidt":
-        max_d = max(permstat.MAX_ENUM_D, args.d) if args.force else permstat.MAX_ENUM_D
-        report = verify_schmidt_report(args.d, args.M, args.trunc, max_d)
+        report = verify.verify_schmidt(args.d, args.M, args.trunc, _lift(args, max_d, args.d))
     elif target == "stanley":
-        report = verify_stanley_report(args.count, args.max_size, args.trunc, args.seed)
+        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed)
     elif target == "apr":
-        report = verify_apr_report(args.trunc)
+        report = verify.verify_apr(args.trunc)
     else:  # djsw-product
-        max_d = max(permstat.MAX_ENUM_D, args.d) if args.force else permstat.MAX_ENUM_D
-        report = verify_djsw_product_report(args.d, args.trunc, max_d)
+        report = verify.verify_djsw_product(args.d, args.trunc, _lift(args, max_d, args.d))
 
     if args.json:
         print(json.dumps(report.as_json_dict(), sort_keys=True))
@@ -402,10 +143,10 @@ def _cmd_ppartition(args) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     p, tags = posets.parse_poset_file(text)
-    max_size = max(posets.MAX_JH_SIZE, p.size) if args.force else posets.MAX_JH_SIZE
+    max_size = _lift(args, posets.MAX_JH_SIZE, p.size)
     stanley = posets.stanley_sigma(p, tags, args.trunc, max_size)
     if not args.oracle:
-        _print_series(stanley, args.json)
+        _print_terms(stanley, args.json)
         return EXIT_OK
     enumerated = oracle.enumerate_ppartitions(p, tags, args.trunc)
     match = stanley == enumerated
@@ -435,75 +176,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     em = sub.add_parser("em", help="print the bivariate descent polynomial E_d(x, y)")
-    em.add_argument("--d", type=int, required=True)
-    em.add_argument("--json", action="store_true")
-    em.add_argument("--force", action="store_true", help="lift the d guard")
-    em.set_defaults(handler=_cmd_em)
+    em.add_argument("--d", type=_positive, required=True)
 
     rec = sub.add_parser("recursion", help="print the same polynomial built by recurrence")
-    rec.add_argument("--d", type=int, required=True)
+    rec.add_argument("--d", type=_positive, required=True)
     rec.add_argument("--json", action="store_true")
     rec.set_defaults(handler=_cmd_recursion)
 
     sigma = sub.add_parser("sigma", help="expand a diamond generating function")
-    sigma.add_argument("--d", type=int)
-    sigma.add_argument("--M", type=int)
+    sigma.add_argument("--d", type=_positive)
+    sigma.add_argument("--M", type=_positive)
     sigma.add_argument("--folds", type=str, help="comma-separated fold counts, e.g. 1,2")
-    sigma.add_argument("--trunc", type=int, required=True)
+    sigma.add_argument("--trunc", type=_nonnegative, required=True)
     collapse = sigma.add_mutually_exclusive_group()
     collapse.add_argument("--a-eq-b", action="store_true", dest="a_eq_b",
                           help="print coefficients with both variables set to q")
     collapse.add_argument("--schmidt", action="store_true",
                           help="set the fold variable to 1 (links-only weighting)")
-    sigma.add_argument("--json", action="store_true")
-    sigma.add_argument("--force", action="store_true")
-    sigma.set_defaults(handler=_cmd_sigma)
 
-    verify = sub.add_parser("verify", help="run a verification target")
-    verify_sub = verify.add_subparsers(dest="target", required=True)
+    verify_parser = sub.add_parser("verify", help="run a verification target")
+    verify_sub = verify_parser.add_subparsers(dest="target", required=True)
 
     v_thm = verify_sub.add_parser("theorem1", help="recurrence equals enumeration for d <= dmax")
-    v_thm.add_argument("--dmax", type=int, default=7)
+    v_thm.add_argument("--dmax", type=_positive, default=7)
 
     v_main = verify_sub.add_parser("main", help="closed form == Stanley expansion == enumeration")
-    v_main.add_argument("--d", type=int, required=True)
-    v_main.add_argument("--M", type=int, required=True)
-    v_main.add_argument("--trunc", type=int, default=10)
+    v_main.add_argument("--d", type=_positive, required=True)
+    v_main.add_argument("--M", type=_positive, required=True)
+    v_main.add_argument("--trunc", type=_nonnegative, default=10)
 
     v_multi = verify_sub.add_parser("multifold", help="multifold closed form == enumeration")
     v_multi.add_argument("--folds", type=str, required=True)
-    v_multi.add_argument("--trunc", type=int, default=8)
+    v_multi.add_argument("--trunc", type=_nonnegative, default=8)
 
     v_schmidt = verify_sub.add_parser("schmidt", help="links-only closed form == product == enumeration")
-    v_schmidt.add_argument("--d", type=int, required=True)
-    v_schmidt.add_argument("--M", type=int, default=10)
-    v_schmidt.add_argument("--trunc", type=int, default=10)
+    v_schmidt.add_argument("--d", type=_positive, required=True)
+    v_schmidt.add_argument("--M", type=_positive, default=10)
+    v_schmidt.add_argument("--trunc", type=_nonnegative, default=10)
 
     v_stanley = verify_sub.add_parser("stanley", help="random-poset equivalence suite")
-    v_stanley.add_argument("--count", type=int, default=200)
-    v_stanley.add_argument("--max-size", type=int, default=7, dest="max_size")
-    v_stanley.add_argument("--trunc", type=int, default=8)
+    v_stanley.add_argument("--count", type=_positive, default=200)
+    v_stanley.add_argument("--max-size", type=_positive, default=7, dest="max_size")
+    v_stanley.add_argument("--trunc", type=_nonnegative, default=8)
     v_stanley.add_argument("--seed", type=int, default=oracle.DEFAULT_CORPUS_SEED)
 
     v_apr = verify_sub.add_parser("apr", help="plane partition diamond product, three ways")
-    v_apr.add_argument("--trunc", type=int, default=20)
+    v_apr.add_argument("--trunc", type=_nonnegative, default=20)
 
     v_djsw = verify_sub.add_parser("djsw-product", help="d-fold diamond product vs enumeration")
-    v_djsw.add_argument("--d", type=int, required=True)
-    v_djsw.add_argument("--trunc", type=int, default=12)
-
-    for target_parser in (v_thm, v_main, v_multi, v_schmidt, v_stanley, v_apr, v_djsw):
-        target_parser.add_argument("--json", action="store_true")
-        target_parser.add_argument("--force", action="store_true")
-        target_parser.set_defaults(handler=_cmd_verify)
+    v_djsw.add_argument("--d", type=_positive, required=True)
+    v_djsw.add_argument("--trunc", type=_nonnegative, default=12)
 
     pp = sub.add_parser("ppartition", help="generating function of a poset file")
     pp.add_argument("file")
-    pp.add_argument("--trunc", type=int, required=True)
+    pp.add_argument("--trunc", type=_nonnegative, required=True)
     pp.add_argument("--oracle", action="store_true", help="also enumerate and compare")
-    pp.add_argument("--json", action="store_true")
-    pp.add_argument("--force", action="store_true")
-    pp.set_defaults(handler=_cmd_ppartition)
+
+    targets = (v_thm, v_main, v_multi, v_schmidt, v_stanley, v_apr, v_djsw)
+    handlers = [(em, _cmd_em), (sigma, _cmd_sigma), (pp, _cmd_ppartition)]
+    for command, handler in handlers + [(target, _cmd_verify) for target in targets]:
+        command.add_argument("--json", action="store_true")
+        command.add_argument("--force", action="store_true", help="lift the size guards")
+        command.set_defaults(handler=handler)
 
     return parser
 
@@ -517,11 +251,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (posets.ParseError, posets.PosetTooLarge, permstat.DTooLarge) as exc:
+    except ValueError as exc:
+        # includes ParseError, PosetTooLarge and DTooLarge
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # The oracles search one poset element per stack frame.
+        print("error: recursion too deep; use a smaller --trunc or --d", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,25 +16,32 @@ parameters.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .permstat import DTooLarge, MAX_ENUM_D, djsw_recursion, euler_mahonian, eulerian
+from .permstat import MAX_ENUM_D, check_enum_guard, djsw_recursion, euler_mahonian, eulerian
 from .poset import DiamondSpec
 from .series import Monomial2, Poly2, RationalExpr, TruncSeries2
 
 
-def _product(factors: Iterable[Poly2]) -> Poly2:
+def _product(factors: Iterable[Poly2], bound: Optional[int] = None) -> Poly2:
+    """The exact product, or with a bound only its terms of total degree
+    <= bound."""
     result = Poly2.one()
     for factor in factors:
-        result = result * factor
+        result = result * factor if bound is None else result.mul_bounded(factor, bound)
     return result
 
 
-def _bounded_product(factors: Iterable[Poly2], bound: int) -> Poly2:
-    result = Poly2.one()
-    for factor in factors:
-        result = result.mul_bounded(factor, bound)
-    return result
+def _univariate(
+    numerator_factors: Iterable[Poly2], denominator_exponents: Iterable[int], truncation: int
+) -> list[int]:
+    """Coefficients of q^0..q^T of prod(numerator factors) / prod_e (1 - q^e),
+    with every factor a polynomial in the second variable alone."""
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    numerator = _product(numerator_factors, truncation)
+    factors = tuple(Monomial2(0, e) for e in denominator_exponents)
+    return RationalExpr(numerator, factors).expand(truncation).specialize_univariate()
 
 
 def _check_dm(d: int, length: int) -> None:
@@ -83,7 +90,7 @@ def sigma_closed(d: int, length: int, truncation: int, max_d: int = MAX_ENUM_D) 
     and link sum j.
     """
     _check_dm(d, length)
-    numerator = _bounded_product(_sigma_numerator_factors(d, length, max_d), truncation)
+    numerator = _product(_sigma_numerator_factors(d, length, max_d), truncation)
     return RationalExpr(numerator, tuple(_sigma_denominator(d, length))).expand(truncation)
 
 
@@ -128,7 +135,7 @@ def sigma_multifold_closed(
     """The multifold diamond generating function expanded through total
     degree T. On a uniform fold sequence this agrees with ``sigma_closed``
     factor for factor."""
-    numerator = _bounded_product(_multifold_numerator_factors(spec, max_d), truncation)
+    numerator = _product(_multifold_numerator_factors(spec, max_d), truncation)
     return RationalExpr(numerator, tuple(_multifold_denominator(spec))).expand(truncation)
 
 
@@ -143,15 +150,11 @@ def schmidt_closed(
     """
     _check_dm(d, length)
     descent_poly = eulerian(d, max_d)
-    numerator = _bounded_product(
+    return _univariate(
         (descent_poly.substitute(Monomial2(0, n), Monomial2(0, 0)) for n in range(1, length + 1)),
+        [length + 1, *(n for n in range(1, length + 1) for _ in range(d + 1))],
         truncation,
     )
-    factors = [Monomial2(0, length + 1)]
-    for n in range(1, length + 1):
-        factors.extend([Monomial2(0, n)] * (d + 1))
-    series = RationalExpr(numerator, tuple(factors)).expand(truncation)
-    return series.specialize_univariate()
 
 
 def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[int]:
@@ -160,35 +163,27 @@ def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[in
     if d < 1:
         raise ValueError("d must be at least 1")
     descent_poly = eulerian(d, max_d)
-    numerator = _bounded_product(
+    return _univariate(
         (
             descent_poly.substitute(Monomial2(0, n), Monomial2(0, 0))
             for n in range(1, truncation + 1)
         ),
+        (n for n in range(1, truncation + 1) for _ in range(d + 1)),
         truncation,
     )
-    factors = []
-    for n in range(1, truncation + 1):
-        factors.extend([Monomial2(0, n)] * (d + 1))
-    series = RationalExpr(numerator, tuple(factors)).expand(truncation)
-    return series.specialize_univariate()
 
 
 def apr_product(truncation: int) -> list[int]:
     """The plane partition diamond product prod_{n>=1} (1 + q^{3n-1})/(1 - q^n),
     truncated by keeping factors n = 1..T."""
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    numerator = _bounded_product(
+    return _univariate(
         (
             Poly2({Monomial2(0, 0): 1, Monomial2(0, 3 * n - 1): 1})
             for n in range(1, truncation + 1)
         ),
+        range(1, truncation + 1),
         truncation,
     )
-    factors = tuple(Monomial2(0, n) for n in range(1, truncation + 1))
-    series = RationalExpr(numerator, factors).expand(truncation)
-    return series.specialize_univariate()
 
 
 def djsw_product(
@@ -205,20 +200,13 @@ def djsw_product(
     the enumerated descent polynomial is substituted instead, which must
     give the same coefficients.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if d > max_d:
-        raise DTooLarge(f"d={d} exceeds the enumeration guard {max_d}")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    check_enum_guard(d, max_d)
     base = euler_mahonian(d, max_d) if use_euler_mahonian else djsw_recursion(d)
-    numerator = _bounded_product(
+    return _univariate(
         (
             base.substitute(Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1))
             for n in range(1, truncation + 1)
         ),
+        range(1, truncation + 1),
         truncation,
     )
-    factors = tuple(Monomial2(0, n) for n in range(1, truncation + 1))
-    series = RationalExpr(numerator, factors).expand(truncation)
-    return series.specialize_univariate()

@@ -12,8 +12,7 @@ routes worth comparing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .series import Monomial2, Poly2
 
@@ -76,7 +75,8 @@ def permutations_lex(d: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, d + 1))
 
 
-def _guard(d: int, max_d: int) -> None:
+def check_enum_guard(d: int, max_d: int) -> None:
+    """Refuse d < 1, and d beyond the enumeration guard with DTooLarge."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if d > max_d:
@@ -91,7 +91,7 @@ def euler_mahonian(d: int, max_d: int = MAX_ENUM_D) -> Poly2:
     >>> euler_mahonian(2).text(("x", "y"))
     '1 + x*y'
     """
-    _guard(d, max_d)
+    check_enum_guard(d, max_d)
     counts: dict[tuple[int, int], int] = {}
     for w in itertools.permutations(range(1, d + 1)):
         des = 0
@@ -131,65 +131,3 @@ def djsw_recursion(d: int) -> Poly2:
         numerator = (one - x * y**k) * f - y * (one - x) * shifted
         f = numerator.divide_exact(one - y)
     return f
-
-
-@dataclass(frozen=True)
-class RecursionMatchEntry:
-    d: int
-    equal: bool
-    recursion_terms: int
-    enumeration_terms: int
-    first_difference: Optional[tuple[Monomial2, int, int]]
-
-
-@dataclass(frozen=True)
-class RecursionMatchReport:
-    d_max: int
-    entries: tuple[RecursionMatchEntry, ...]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(entry.equal for entry in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "d_max": self.d_max,
-            "all_equal": self.all_equal,
-            "entries": [
-                {
-                    "d": e.d,
-                    "equal": e.equal,
-                    "recursion_terms": e.recursion_terms,
-                    "enumeration_terms": e.enumeration_terms,
-                    "first_difference": None
-                    if e.first_difference is None
-                    else {
-                        "monomial": list(e.first_difference[0]),
-                        "recursion": str(e.first_difference[1]),
-                        "enumeration": str(e.first_difference[2]),
-                    },
-                }
-                for e in self.entries
-            ],
-        }
-
-
-def verify_theorem1(d_max: int, max_d: int = MAX_ENUM_D) -> RecursionMatchReport:
-    """Compare the recurrence polynomial against the d! enumeration for every
-    d <= d_max, reporting exact equality or the first differing term."""
-    _guard(d_max, max_d)
-    entries = []
-    for d in range(1, d_max + 1):
-        by_recursion = djsw_recursion(d)
-        by_enumeration = euler_mahonian(d, max_d)
-        diff = by_recursion.first_difference(by_enumeration)
-        entries.append(
-            RecursionMatchEntry(
-                d=d,
-                equal=diff is None,
-                recursion_terms=len(by_recursion.terms),
-                enumeration_terms=len(by_enumeration.terms),
-                first_difference=diff,
-            )
-        )
-    return RecursionMatchReport(d_max=d_max, entries=tuple(entries))

@@ -74,7 +74,66 @@ def _collect(items: Iterable[tuple[MonomialLike, int]]) -> dict[Monomial2, int]:
     return acc
 
 
-class Poly2:
+def _add_terms(left: Mapping, right: Mapping, sign: int = 1) -> dict:
+    """The term map of left + sign * right; cancelled terms drop."""
+    result = dict(left)
+    for mono, coeff in right.items():
+        total = result.get(mono, 0) + sign * coeff
+        if total:
+            result[mono] = total
+        else:
+            del result[mono]
+    return result
+
+
+def _mul_terms(left: Mapping, right: Mapping, bound: int) -> dict:
+    """The term map of left * right with every term of total degree > bound
+    dropped. Safe whenever only the degree-<= bound part of the product
+    matters, because all exponents are nonnegative."""
+    result: dict[tuple[int, int], int] = {}
+    for (ia, ib), c1 in left.items():
+        for (ja, jb), c2 in right.items():
+            da, db = ia + ja, ib + jb
+            if da + db > bound:
+                continue
+            key = (da, db)
+            result[key] = result.get(key, 0) + c1 * c2
+    return result
+
+
+class _TermMap:
+    """What polynomials and truncated series share: a map from exponent
+    pairs to nonzero integer coefficients, read in graded-lex order."""
+
+    __slots__ = ("_terms",)
+
+    @property
+    def terms(self) -> Mapping[Monomial2, int]:
+        """The underlying term map; treat as read-only."""
+        return self._terms
+
+    def coefficient(self, exp_a: int, exp_b: int) -> int:
+        return self._terms.get(Monomial2(exp_a, exp_b), 0)
+
+    def sorted_terms(self) -> list[tuple[Monomial2, int]]:
+        return sorted(self._terms.items(), key=lambda kv: _grlex(kv[0]))
+
+    def first_difference(self, other: "_TermMap") -> Optional[tuple[Monomial2, int, int]]:
+        """Graded-lex smallest monomial where the two differ, with both
+        coefficients, or None when equal."""
+        keys = set(self._terms) | set(other._terms)
+        for mono in sorted(keys, key=_grlex):
+            left = self._terms.get(mono, 0)
+            right = other._terms.get(mono, 0)
+            if left != right:
+                return (mono, left, right)
+        return None
+
+    def text(self, names: tuple[str, str] = ("a", "b")) -> str:
+        return format_terms(self.sorted_terms(), names)
+
+
+class Poly2(_TermMap):
     """A polynomial with exact integer coefficients in two variables.
 
     >>> x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
@@ -84,7 +143,7 @@ class Poly2:
     '1 + a*b'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | Iterable[tuple[MonomialLike, int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -106,22 +165,11 @@ class Poly2:
     def monomial(cls, exp_a: int, exp_b: int, coeff: int = 1) -> "Poly2":
         return cls({Monomial2(exp_a, exp_b): coeff})
 
-    @property
-    def terms(self) -> Mapping[Monomial2, int]:
-        """The underlying term map; treat as read-only."""
-        return self._terms
-
     def is_zero(self) -> bool:
         return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def coefficient(self, exp_a: int, exp_b: int) -> int:
-        return self._terms.get(Monomial2(exp_a, exp_b), 0)
-
-    def sorted_terms(self) -> list[tuple[Monomial2, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _grlex(kv[0]))
 
     def total_degree(self) -> int:
         """Maximum exp_a + exp_b, or -1 for the zero polynomial."""
@@ -151,14 +199,7 @@ class Poly2:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        result = dict(self._terms)
-        for mono, coeff in coerced._terms.items():
-            total = result.get(mono, 0) + coeff
-            if total:
-                result[mono] = total
-            else:
-                del result[mono]
-        return Poly2(result)
+        return Poly2(_add_terms(self._terms, coerced._terms))
 
     __radd__ = __add__
 
@@ -169,24 +210,21 @@ class Poly2:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self + (-coerced)
+        return Poly2(_add_terms(self._terms, coerced._terms, -1))
 
     def __rsub__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return coerced + (-self)
+        return Poly2(_add_terms(coerced._terms, self._terms, -1))
 
     def __mul__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        result: dict[tuple[int, int], int] = {}
-        for (ia, ib), c1 in self._terms.items():
-            for (ja, jb), c2 in coerced._terms.items():
-                key = (ia + ja, ib + jb)
-                result[key] = result.get(key, 0) + c1 * c2
-        return Poly2(result)
+        # No product term exceeds the sum of the factors' degrees.
+        bound = self.total_degree() + coerced.total_degree()
+        return Poly2(_mul_terms(self._terms, coerced._terms, bound))
 
     __rmul__ = __mul__
 
@@ -204,15 +242,7 @@ class Poly2:
         Safe whenever only the degree-<= bound part of the result matters,
         because all exponents here are nonnegative.
         """
-        result: dict[tuple[int, int], int] = {}
-        for (ia, ib), c1 in self._terms.items():
-            for (ja, jb), c2 in other._terms.items():
-                da, db = ia + ja, ib + jb
-                if da + db > bound:
-                    continue
-                key = (da, db)
-                result[key] = result.get(key, 0) + c1 * c2
-        return Poly2(result)
+        return Poly2(_mul_terms(self._terms, other._terms, bound))
 
     def substitute(self, x_image: MonomialLike, y_image: MonomialLike) -> "Poly2":
         """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly."""
@@ -262,32 +292,18 @@ class Poly2:
     def evaluate(self, a_value: int, b_value: int) -> int:
         return sum(c * a_value**m.exp_a * b_value**m.exp_b for m, c in self._terms.items())
 
-    def first_difference(self, other: "Poly2") -> Optional[tuple[Monomial2, int, int]]:
-        """Graded-lex smallest monomial where the two differ, with both
-        coefficients, or None when equal."""
-        keys = set(self._terms) | set(other._terms)
-        for mono in sorted(keys, key=_grlex):
-            left = self._terms.get(mono, 0)
-            right = other._terms.get(mono, 0)
-            if left != right:
-                return (mono, left, right)
-        return None
-
-    def text(self, names: tuple[str, str] = ("a", "b")) -> str:
-        return format_terms(self.sorted_terms(), names)
-
     def __repr__(self) -> str:
         return f"Poly2({self.text()})"
 
 
-class TruncSeries2:
+class TruncSeries2(_TermMap):
     """A power series kept only through total degree ``truncation``.
 
     Operations between two series require equal truncation bounds; anything
     else raises TruncationMismatch rather than silently mixing precisions.
     """
 
-    __slots__ = ("_truncation", "_terms")
+    __slots__ = ("_truncation",)
 
     def __init__(self, truncation: int, terms: Mapping | Iterable = ()) -> None:
         if truncation < 0:
@@ -320,16 +336,6 @@ class TruncSeries2:
     def truncation(self) -> int:
         return self._truncation
 
-    @property
-    def terms(self) -> Mapping[Monomial2, int]:
-        return self._terms
-
-    def coefficient(self, exp_a: int, exp_b: int) -> int:
-        return self._terms.get(Monomial2(exp_a, exp_b), 0)
-
-    def sorted_terms(self) -> list[tuple[Monomial2, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _grlex(kv[0]))
-
     def _check_compatible(self, other: "TruncSeries2") -> None:
         if self._truncation != other._truncation:
             raise TruncationMismatch(
@@ -345,35 +351,20 @@ class TruncSeries2:
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        result = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            total = result.get(mono, 0) + coeff
-            if total:
-                result[mono] = total
-            else:
-                del result[mono]
-        return TruncSeries2(self._truncation, result)
+        return TruncSeries2(self._truncation, _add_terms(self._terms, other._terms))
 
     def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        return self + TruncSeries2(other._truncation, {m: -c for m, c in other._terms.items()})
+        return TruncSeries2(self._truncation, _add_terms(self._terms, other._terms, -1))
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
         bound = self._truncation
-        result: dict[tuple[int, int], int] = {}
-        for (ia, ib), c1 in self._terms.items():
-            for (ja, jb), c2 in other._terms.items():
-                da, db = ia + ja, ib + jb
-                if da + db > bound:
-                    continue
-                key = (da, db)
-                result[key] = result.get(key, 0) + c1 * c2
-        return TruncSeries2(bound, result)
+        return TruncSeries2(bound, _mul_terms(self._terms, other._terms, bound))
 
     def specialize_univariate(self) -> list[int]:
         """Set both variables to one formal variable q: the coefficient of
@@ -385,16 +376,7 @@ class TruncSeries2:
 
     def first_difference(self, other: "TruncSeries2") -> Optional[tuple[Monomial2, int, int]]:
         self._check_compatible(other)
-        keys = set(self._terms) | set(other._terms)
-        for mono in sorted(keys, key=_grlex):
-            left = self._terms.get(mono, 0)
-            right = other._terms.get(mono, 0)
-            if left != right:
-                return (mono, left, right)
-        return None
-
-    def text(self, names: tuple[str, str] = ("a", "b")) -> str:
-        return format_terms(self.sorted_terms(), names)
+        return super().first_difference(other)
 
     def __repr__(self) -> str:
         return f"TruncSeries2[T={self._truncation}]({self.text()})"

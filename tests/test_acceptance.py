@@ -25,7 +25,8 @@ from diamondgf.oracle import (
     random_poset_corpus,
     schmidt_oracle,
 )
-from diamondgf.permstat import djsw_recursion, euler_mahonian, eulerian, verify_theorem1
+from diamondgf.permstat import djsw_recursion, euler_mahonian, eulerian
+from diamondgf.verify import verify_theorem1
 from diamondgf.poset import DiamondSpec, build_diamond_poset, jordan_holder, stanley_sigma
 
 CORPUS_SEED = 20240601
@@ -50,9 +51,10 @@ def criterion(label, time_limit=None):
 def test_criterion_1_recursion_equals_enumeration():
     with criterion("criterion 1 (recurrence equals enumeration, d <= 7)", time_limit=10):
         report = verify_theorem1(7)
-        assert report.all_equal
-        for entry in report.entries:
-            assert entry.first_difference is None
+        assert report.passed
+        assert report.mismatch is None
+        assert [line.split(":")[0] for line in report.details] == [f"d={d}" for d in range(1, 8)]
+        assert all(": equal " in line for line in report.details)
 
 
 def test_criterion_2_three_way_bivariate_identity():

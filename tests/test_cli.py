@@ -1,6 +1,12 @@
 import json
+import sys
 
-from diamondgf.cli import VerifyReport, main
+import pytest
+
+from diamondgf import diamonds, oracle, permstat
+from diamondgf.cli import main
+from diamondgf.series import Monomial2, Poly2, TruncSeries2
+from diamondgf.verify import VerifyReport, verify_stanley
 
 CHAIN_FILE = "elements 3\ncover 1 2\ncover 2 3\n"
 DIAMOND_FILE = "elements 4\ncover 1 2\ncover 1 3\ncover 2 4\ncover 3 4\nassign a 2 3\n"
@@ -108,6 +114,7 @@ def test_verify_targets_pass(capsys):
         == 0
     )
     assert run(capsys, "verify", "apr", "--trunc", "8")[0] == 0
+    assert run(capsys, "verify", "apr", "--trunc", "0")[0] == 0
     assert run(capsys, "verify", "djsw-product", "--d", "2", "--trunc", "8")[0] == 0
 
 
@@ -194,22 +201,113 @@ def test_ppartition_guard_and_force(capsys, tmp_path):
     assert out.strip() == "1 + b + 2*b^2"
 
 
-def test_verify_mismatch_exit_code(capsys, monkeypatch):
-    import diamondgf.cli as cli
+def _bump_last(out, *args):
+    return out[:-1] + [out[-1] + 1]
 
-    def fake_report(truncation):
-        return VerifyReport(
-            command="verify apr",
-            parameters={"trunc": truncation},
-            status="fail",
-            mismatch={"power": 2, "lhs_coefficient": "3", "rhs_coefficient": "4"},
-        )
 
-    monkeypatch.setattr(cli, "verify_apr_report", fake_report)
-    code, out, _ = run(capsys, "verify", "apr", "--trunc", "5")
+def _bump(exp_a, exp_b):
+    def perturb(out, *args):
+        terms = dict(out.terms)
+        terms[Monomial2(exp_a, exp_b)] = out.coefficient(exp_a, exp_b) + 1
+        return Poly2(terms) if isinstance(out, Poly2) else TruncSeries2(out.truncation, terms)
+
+    return perturb
+
+
+def _bump_e3(out, d, *args):
+    # E_3 = 1 + 2xy + 2xy^2 + x^2y^3; only d = 3 is corrupted
+    return _bump(1, 1)(out) if d == 3 else out
+
+
+MUTATIONS = [
+    # verify target argv, library function corrupted, expected mismatch
+    (["apr", "--trunc", "6"], diamonds, "apr_product", _bump_last,
+     {"power": 6, "lhs": "product", "rhs": "oracle"}),
+    (["djsw-product", "--d", "2", "--trunc", "6"], diamonds, "djsw_product", _bump_last,
+     {"power": 6, "lhs": "product", "rhs": "oracle"}),
+    (["schmidt", "--d", "1", "--M", "4", "--trunc", "6"], diamonds, "schmidt_closed",
+     _bump_last, {"power": 6, "lhs": "closed", "rhs": "oracle"}),
+    (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "sigma_closed",
+     _bump(1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
+    (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "sigma_multifold_closed",
+     _bump(1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "oracle"}),
+    (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], oracle,
+     "enumerate_ppartitions", _bump(0, 0),
+     {"monomial": [0, 0], "poset_index": 0, "lhs_coefficient": "1", "rhs_coefficient": "2"}),
+    (["theorem1", "--dmax", "4"], permstat, "euler_mahonian", _bump_e3,
+     {"d": 3, "monomial": [1, 1], "lhs_coefficient": "2", "rhs_coefficient": "3"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, perturb, expected", MUTATIONS, ids=[case[0][0] for case in MUTATIONS]
+)
+def test_verify_detects_an_off_by_one_result(capsys, monkeypatch, argv, module, name, perturb,
+                                             expected):
+    # One library result off by one coefficient must fail its target with
+    # exit 1 and name that coefficient.
+    original = getattr(module, name)
+
+    def perturbed(*args, **kwargs):
+        return perturb(original(*args, **kwargs), *args)
+
+    monkeypatch.setattr(module, name, perturbed)
+    code, out, _ = run(capsys, "verify", *argv, "--json")
     assert code == 1
-    assert "status: fail" in out
-    assert "mismatch" in out
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert expected.items() <= payload["mismatch"].items()
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert "status: fail" in out and "mismatch: " in out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "stanley", "--count", "0"], "--count"),
+        (["verify", "stanley", "--count", "-3"], "--count"),
+        (["verify", "stanley", "--max-size", "0"], "--max-size"),
+        (["verify", "apr", "--trunc", "-1"], "--trunc"),
+        (["verify", "theorem1", "--dmax", "0"], "--dmax"),
+        (["verify", "djsw-product", "--d", "0"], "--d"),
+        (["sigma", "--d", "1", "--M", "0", "--trunc", "2"], "--M"),
+    ],
+)
+def test_integer_options_are_validated(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {option}:" in err
+    assert "randrange" not in out + err
+
+
+def test_verify_stanley_checks_its_bounds():
+    with pytest.raises(ValueError, match="count"):
+        verify_stanley(0, 5, 4, 1)
+    with pytest.raises(ValueError, match="max_size"):
+        verify_stanley(3, 0, 4, 1)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_recursion_is_a_usage_error(capsys):
+    # The infinite-product oracle recurses 3T+1 deep for d = 2; leave room
+    # for the command itself but not for that search.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        code, out, err = run(capsys, "verify", "apr", "--trunc", "12")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert err.startswith("error: recursion too deep")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in out + err
 
 
 def test_verify_report_invariant():

@@ -15,9 +15,9 @@ from diamondgf.permstat import (
     eulerian,
     major_index,
     permutations_lex,
-    verify_theorem1,
 )
 from diamondgf.series import Poly2
+from diamondgf.verify import verify_theorem1
 
 
 def test_descent_set_examples():
@@ -124,12 +124,12 @@ def test_recursion_has_no_guard():
 
 def test_verify_theorem1_report():
     report = verify_theorem1(5)
-    assert report.all_equal
-    assert [entry.d for entry in report.entries] == [1, 2, 3, 4, 5]
-    for entry in report.entries:
-        assert entry.equal
-        assert entry.first_difference is None
-        assert entry.recursion_terms == entry.enumeration_terms
-    payload = report.as_dict()
-    assert payload["all_equal"] is True
-    assert payload["entries"][2]["recursion_terms"] == 4
+    assert report.passed
+    assert report.mismatch is None
+    assert [line.split(":")[0] for line in report.details] == ["d=1", "d=2", "d=3", "d=4", "d=5"]
+    for d, line in enumerate(report.details, start=1):
+        terms = len(djsw_recursion(d).terms)
+        assert line == f"d={d}: equal (recursion {terms} terms, enumeration {terms} terms)"
+    payload = report.as_json_dict()
+    assert payload["status"] == "pass"
+    assert payload["details"][2] == "d=3: equal (recursion 4 terms, enumeration 4 terms)"
