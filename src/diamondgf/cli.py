@@ -242,10 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs milliseconds, a large share of a small in-process
+# command; parsing leaves no state on it, so one instance serves every call.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -90,15 +91,24 @@ def _mul_terms(left: Mapping, right: Mapping, bound: int) -> dict:
     """The term map of left * right with every term of total degree > bound
     dropped. Safe whenever only the degree-<= bound part of the product
     matters, because all exponents are nonnegative."""
+    # Sorted by degree, the right operand's terms past the room a left term
+    # leaves under the bound are cut off together instead of one at a time.
+    right_by_degree = sorted((ja + jb, ja, jb, c2) for (ja, jb), c2 in right.items())
     result: dict[tuple[int, int], int] = {}
     for (ia, ib), c1 in left.items():
-        for (ja, jb), c2 in right.items():
-            da, db = ia + ja, ib + jb
-            if da + db > bound:
-                continue
-            key = (da, db)
+        room = bound - ia - ib
+        for degree, ja, jb, c2 in right_by_degree:
+            if degree > room:
+                break
+            key = (ia + ja, ib + jb)
             result[key] = result.get(key, 0) + c1 * c2
-    return result
+    return _monomial_keys(result)
+
+
+def _monomial_keys(terms: dict) -> dict[Monomial2, int]:
+    """A term map keyed by plain exponent pairs, rekeyed by Monomial2 with
+    cancelled terms dropped."""
+    return {Monomial2(*key): coeff for key, coeff in terms.items() if coeff}
 
 
 class _TermMap:
@@ -150,6 +160,14 @@ class Poly2(_TermMap):
         self._terms = _collect(items)
 
     @classmethod
+    def _trusted(cls, terms: dict[Monomial2, int]) -> "Poly2":
+        """Wrap a term map this module built itself, with Monomial2 keys and
+        no zero coefficients, without the public constructor's checks."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "Poly2":
         return cls()
 
@@ -199,24 +217,24 @@ class Poly2(_TermMap):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Poly2(_add_terms(self._terms, coerced._terms))
+        return Poly2._trusted(_add_terms(self._terms, coerced._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2({m: -c for m, c in self._terms.items()})
+        return Poly2._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Poly2(_add_terms(self._terms, coerced._terms, -1))
+        return Poly2._trusted(_add_terms(self._terms, coerced._terms, -1))
 
     def __rsub__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Poly2(_add_terms(coerced._terms, self._terms, -1))
+        return Poly2._trusted(_add_terms(coerced._terms, self._terms, -1))
 
     def __mul__(self, other):
         coerced = self._coerce(other)
@@ -224,7 +242,7 @@ class Poly2(_TermMap):
             return NotImplemented
         # No product term exceeds the sum of the factors' degrees.
         bound = self.total_degree() + coerced.total_degree()
-        return Poly2(_mul_terms(self._terms, coerced._terms, bound))
+        return Poly2._trusted(_mul_terms(self._terms, coerced._terms, bound))
 
     __rmul__ = __mul__
 
@@ -242,7 +260,7 @@ class Poly2(_TermMap):
         Safe whenever only the degree-<= bound part of the result matters,
         because all exponents here are nonnegative.
         """
-        return Poly2(_mul_terms(self._terms, other._terms, bound))
+        return Poly2._trusted(_mul_terms(self._terms, other._terms, bound))
 
     def substitute(self, x_image: MonomialLike, y_image: MonomialLike) -> "Poly2":
         """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly."""
@@ -252,7 +270,7 @@ class Poly2(_TermMap):
         for (i, j), coeff in self._terms.items():
             key = (i * xi.exp_a + j * yi.exp_a, i * xi.exp_b + j * yi.exp_b)
             result[key] = result.get(key, 0) + coeff
-        return Poly2(result)
+        return Poly2._trusted(_monomial_keys(result))
 
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
         """Return q with q * divisor == self, or raise NonExactDivision.
@@ -261,16 +279,30 @@ class Poly2(_TermMap):
         generates its own ideal basis, so a nonzero remainder (or a
         non-divisible integer leading coefficient) proves no exact integer
         quotient exists.
+
+        The remainder's monomials are visited once each, in descending
+        graded-lex order, from a heap: a monomial is pushed when it enters
+        the remainder and skipped if it has cancelled by the time it comes
+        out. Every product of a quotient term with the divisor's other terms
+        lies below the term just cleared, so the order never goes back up,
+        and the division costs O(n log n) in the n monomials the remainder
+        ever holds, times the divisor's length.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         lead = max(divisor._terms, key=_grlex)
         lead_coeff = divisor._terms[lead]
-        remainder = dict(self._terms)
+        rest = [(da, db, dc) for (da, db), dc in divisor._terms.items() if (da, db) != lead]
+        remainder: dict[tuple[int, int], int] = dict(self._terms)
+        heap = [(-a - b, -a) for a, b in remainder]
+        heapify(heap)
         quotient: dict[Monomial2, int] = {}
-        while remainder:
-            top = max(remainder, key=_grlex)
-            top_coeff = remainder[top]
+        while heap:
+            neg_degree, neg_a = heappop(heap)
+            top = Monomial2(-neg_a, neg_a - neg_degree)
+            top_coeff = remainder.pop(top, 0)
+            if not top_coeff:
+                continue  # cancelled after it was pushed
             if top.exp_a < lead.exp_a or top.exp_b < lead.exp_b:
                 raise NonExactDivision(f"no exact quotient: stuck at term {top}")
             q, r = divmod(top_coeff, lead_coeff)
@@ -278,22 +310,32 @@ class Poly2(_TermMap):
                 raise NonExactDivision(
                     f"no exact quotient: coefficient {top_coeff} not divisible by {lead_coeff}"
                 )
-            q_mono = Monomial2(top.exp_a - lead.exp_a, top.exp_b - lead.exp_b)
-            quotient[q_mono] = quotient.get(q_mono, 0) + q
-            for (da, db), dc in divisor._terms.items():
-                key = Monomial2(q_mono.exp_a + da, q_mono.exp_b + db)
-                total = remainder.get(key, 0) - q * dc
-                if total:
-                    remainder[key] = total
+            qa, qb = top.exp_a - lead.exp_a, top.exp_b - lead.exp_b
+            quotient[Monomial2(qa, qb)] = q
+            # The lead term of q * divisor cancels top, which is already popped.
+            for da, db, dc in rest:
+                key = (qa + da, qb + db)
+                if key in remainder:
+                    total = remainder[key] - q * dc
+                    if total:
+                        remainder[key] = total
+                    else:
+                        del remainder[key]
                 else:
-                    remainder.pop(key, None)
-        return Poly2(quotient)
+                    remainder[key] = -q * dc
+                    heappush(heap, (-key[0] - key[1], -key[0]))
+        return Poly2._trusted(quotient)
 
     def evaluate(self, a_value: int, b_value: int) -> int:
         return sum(c * a_value**m.exp_a * b_value**m.exp_b for m, c in self._terms.items())
 
     def __repr__(self) -> str:
         return f"Poly2({self.text()})"
+
+
+def _check_truncation(truncation: int) -> None:
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
 
 
 class TruncSeries2(_TermMap):
@@ -306,8 +348,7 @@ class TruncSeries2(_TermMap):
     __slots__ = ("_truncation",)
 
     def __init__(self, truncation: int, terms: Mapping | Iterable = ()) -> None:
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
+        _check_truncation(truncation)
         items = terms.items() if isinstance(terms, Mapping) else terms
         collected = _collect(items)
         for mono in collected:
@@ -317,9 +358,20 @@ class TruncSeries2(_TermMap):
         self._terms = collected
 
     @classmethod
+    def _trusted(cls, truncation: int, terms: dict[Monomial2, int]) -> "TruncSeries2":
+        """Wrap a term map this module built itself, with Monomial2 keys, no
+        zero coefficients and no term beyond the bound, without the public
+        constructor's checks."""
+        series = cls.__new__(cls)
+        series._truncation = truncation
+        series._terms = terms
+        return series
+
+    @classmethod
     def from_poly(cls, poly: Poly2, truncation: int) -> "TruncSeries2":
         """The polynomial viewed as a series: terms beyond the bound drop."""
-        return cls(
+        _check_truncation(truncation)
+        return cls._trusted(
             truncation,
             {m: c for m, c in poly.terms.items() if m.degree <= truncation},
         )
@@ -351,20 +403,20 @@ class TruncSeries2(_TermMap):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        return TruncSeries2(self._truncation, _add_terms(self._terms, other._terms))
+        return TruncSeries2._trusted(self._truncation, _add_terms(self._terms, other._terms))
 
     def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        return TruncSeries2(self._truncation, _add_terms(self._terms, other._terms, -1))
+        return TruncSeries2._trusted(self._truncation, _add_terms(self._terms, other._terms, -1))
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
         bound = self._truncation
-        return TruncSeries2(bound, _mul_terms(self._terms, other._terms, bound))
+        return TruncSeries2._trusted(bound, _mul_terms(self._terms, other._terms, bound))
 
     def specialize_univariate(self) -> list[int]:
         """Set both variables to one formal variable q: the coefficient of
@@ -387,12 +439,13 @@ def geometric_series(mono: MonomialLike, truncation: int) -> TruncSeries2:
     m = _as_monomial(mono)
     if m.degree == 0:
         raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
+    _check_truncation(truncation)
     terms = {}
     k = 0
     while k * m.degree <= truncation:
         terms[Monomial2(k * m.exp_a, k * m.exp_b)] = 1
         k += 1
-    return TruncSeries2(truncation, terms)
+    return TruncSeries2._trusted(truncation, terms)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from diamondgf import diamonds, oracle, permstat
+from diamondgf import cli, diamonds, oracle, permstat
 from diamondgf.cli import main
 from diamondgf.series import Monomial2, Poly2, TruncSeries2
 from diamondgf.verify import VerifyReport, verify_stanley
@@ -326,3 +326,19 @@ def test_verify_report_invariant():
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    run(capsys, "recursion", "--d", "2")
+
+    def rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert run(capsys, "sigma", "--d", "2", "--M", "3", "--trunc", "4", "--a-eq-b")[:2] == (
+        0, "1, 1, 3, 4, 7\n"
+    )
+    # Neither --M 3 nor --a-eq-b carries over to the next call.
+    code, out, _ = run(capsys, "sigma", "--d", "1", "--trunc", "4")
+    assert code == 0
+    assert out.strip().endswith(" + 2*a*b^3 + a^2*b^2")

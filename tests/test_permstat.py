@@ -16,7 +16,7 @@ from diamondgf.permstat import (
     major_index,
     permutations_lex,
 )
-from diamondgf.series import Poly2
+from diamondgf.series import Monomial2, Poly2
 from diamondgf.verify import verify_theorem1
 
 
@@ -120,6 +120,29 @@ def test_recursion_has_no_guard():
     # The recursion is polynomial time, so it runs past the enumeration guard.
     p = djsw_recursion(11)
     assert p.evaluate(1, 1) == math.factorial(11)
+
+
+def test_recursion_invariants_without_enumeration():
+    # Far past the enumeration guard, check what is known without listing
+    # permutations: E_d(1, 1) = d!; MacMahon's equidistribution of maj and
+    # inv, E_d(1, y) = [d]_y!; and E_d(x, 1), whose coefficients are the
+    # Eulerian numbers A(d, k) = (k+1) A(d-1, k) + (d-k) A(d-1, k-1), which
+    # are palindromic in k.
+    y = Poly2.monomial(0, 1)
+    q_factorial = Poly2.one()
+    eulerian_numbers = [1]
+    for d in range(1, 26):
+        q_factorial = q_factorial * sum((y**k for k in range(d)), Poly2.zero())
+        padded = [0, *eulerian_numbers, 0]
+        eulerian_numbers = [(k + 1) * padded[k + 1] + (d - k) * padded[k] for k in range(d)]
+        if d > 12 and d not in (16, 20, 25):
+            continue  # keeps the test well under a second
+        f = djsw_recursion(d)
+        assert f.evaluate(1, 1) == math.factorial(d)
+        assert f.substitute(Monomial2(0, 0), Monomial2(0, 1)) == q_factorial
+        descents = f.substitute(Monomial2(1, 0), Monomial2(0, 0))
+        assert descents == Poly2({(k, 0): a for k, a in enumerate(eulerian_numbers)})
+        assert eulerian_numbers == eulerian_numbers[::-1]
 
 
 def test_verify_theorem1_report():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondgf.series import (
     Monomial2,
@@ -28,6 +29,54 @@ def random_poly(rng, max_terms=4, max_exp=3, max_coeff=5):
         mono = (rng.randint(0, max_exp), rng.randint(0, max_exp))
         terms[mono] = terms.get(mono, 0) + rng.randint(-max_coeff, max_coeff)
     return Poly2(terms)
+
+
+monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))
+polys = st.dictionaries(monomials, st.integers(-6, 6), max_size=6).map(Poly2)
+nonzero_polys = polys.filter(bool)
+bounds = st.integers(0, 9)
+kernel_settings = settings(max_examples=100, deadline=None)
+
+
+def reference_divide(dividend, divisor):
+    """Textbook long division: rescan the whole remainder for its graded-lex
+    largest term on every step. Quadratic, but plainly right."""
+
+    def grlex(mono):
+        return (mono.exp_a + mono.exp_b, mono.exp_a)
+
+    lead = max(divisor.terms, key=grlex)
+    lead_coeff = divisor.terms[lead]
+    remainder = dict(dividend.terms)
+    quotient = {}
+    while remainder:
+        top = max(remainder, key=grlex)
+        if top.exp_a < lead.exp_a or top.exp_b < lead.exp_b:
+            raise NonExactDivision(f"no exact quotient: stuck at term {top}")
+        q, r = divmod(remainder[top], lead_coeff)
+        if r:
+            raise NonExactDivision(
+                f"no exact quotient: coefficient {remainder[top]} not divisible by {lead_coeff}"
+            )
+        shift = Monomial2(top.exp_a - lead.exp_a, top.exp_b - lead.exp_b)
+        quotient[shift] = q
+        for mono, coeff in divisor.terms.items():
+            key = Monomial2(shift.exp_a + mono.exp_a, shift.exp_b + mono.exp_b)
+            remainder[key] = remainder.get(key, 0) - q * coeff
+            if not remainder[key]:
+                del remainder[key]
+    return Poly2(quotient)
+
+
+def assert_valid_term_map(result):
+    """What the public constructors guarantee, checked on a result that
+    skipped them."""
+    assert all(type(mono) is Monomial2 for mono in result.terms)
+    assert all(result.terms.values())
+    if isinstance(result, TruncSeries2):
+        assert result == TruncSeries2(result.truncation, result.terms)
+    else:
+        assert result == Poly2(result.terms)
 
 
 def test_add_identity_and_inverse():
@@ -87,16 +136,26 @@ def test_divide_exact_zero_divisor():
         ONE.divide_exact(Poly2.zero())
 
 
-def test_divide_round_trip_random():
-    rng = random.Random(7)
-    checked = 0
-    while checked < 50:
-        p = random_poly(rng)
-        q = random_poly(rng)
-        if q.is_zero():
-            continue
-        assert (p * q).divide_exact(q) == p
-        checked += 1
+@kernel_settings
+@given(polys, nonzero_polys)
+def test_divide_round_trip_random(p, q):
+    assert (p * q).divide_exact(q) == p
+
+
+@kernel_settings
+@given(polys, nonzero_polys, polys)
+def test_divide_exact_matches_reference_division(p, q, r):
+    # p*q + r is exact when r == 0 and usually not otherwise; either way the
+    # quotient, or the failure and its message, must match the reference.
+    dividend = p * q + r
+    try:
+        expected = reference_divide(dividend, q)
+    except NonExactDivision as exc:
+        with pytest.raises(NonExactDivision) as info:
+            dividend.divide_exact(q)
+        assert str(info.value) == str(exc)
+    else:
+        assert dividend.divide_exact(q) == expected
 
 
 def test_ring_axioms_random():
@@ -109,14 +168,28 @@ def test_ring_axioms_random():
         assert p * (q + r) == p * q + p * r
 
 
-def test_mul_bounded_matches_truncated_full_product():
-    rng = random.Random(13)
-    for _ in range(30):
-        p, q = random_poly(rng), random_poly(rng)
-        bound = rng.randint(0, 5)
-        full = p * q
-        kept = Poly2({m: c for m, c in full.terms.items() if m.degree <= bound})
-        assert p.mul_bounded(q, bound) == kept
+@kernel_settings
+@given(polys, polys, bounds)
+def test_mul_bounded_matches_truncated_full_product(p, q, bound):
+    full = p * q
+    kept = Poly2({m: c for m, c in full.terms.items() if m.degree <= bound})
+    assert p.mul_bounded(q, bound) == kept
+
+
+@kernel_settings
+@given(polys, polys, bounds, monomials, monomials)
+def test_kernel_results_are_valid_term_maps(p, q, bound, x_image, y_image):
+    results = [p + q, p - q, 1 - p, -p, p * q, p**2, p.mul_bounded(q, bound)]
+    results.append(p.substitute(x_image, y_image))
+    if q:
+        results.append((p * q).divide_exact(q))
+    s, t = TruncSeries2.from_poly(p, bound), TruncSeries2.from_poly(q, bound)
+    results += [s, s + t, s - t, s * t]
+    factors = tuple(Monomial2(*m) for m in (x_image, y_image) if sum(m))
+    results += [geometric_series(m, bound) for m in factors]
+    results.append(RationalExpr(p, factors).expand(bound))
+    for result in results:
+        assert_valid_term_map(result)
 
 
 def test_geometric_series():
