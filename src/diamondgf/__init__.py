@@ -57,7 +57,6 @@ from .series import (
     RationalExpr,
     TruncationMismatch,
     TruncSeries2,
-    expand_rational,
     geometric_series,
 )
 from .verify import VerifyReport, verify_theorem1
@@ -72,7 +71,6 @@ __all__ = [
     "NonExactDivision",
     "NonInvertibleFactor",
     "TruncationMismatch",
-    "expand_rational",
     "geometric_series",
     "descent_set",
     "ascent_set",

@@ -89,18 +89,17 @@ def _cmd_sigma(args) -> int:
 
     if args.folds is not None:
         spec = posets.DiamondSpec(_parse_folds(args.folds))
-        max_d = _lift(args, permstat.MAX_ENUM_D, *spec.folds)
         if args.schmidt:
             print("error: --schmidt requires the uniform --d/--M form", file=sys.stderr)
             return EXIT_USAGE
-        result = diamonds.sigma_multifold_closed(spec, args.trunc, max_d)
+        result = diamonds.sigma_multifold_closed(spec, args.trunc)
     else:
         length = args.M if args.M is not None else 1
-        max_d = _lift(args, permstat.MAX_ENUM_D, args.d)
         if args.schmidt:
+            max_d = _lift(args, permstat.MAX_ENUM_D, args.d)
             _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc, max_d), args.json)
             return EXIT_OK
-        result = diamonds.sigma_closed(args.d, length, args.trunc, max_d)
+        result = diamonds.sigma_closed(args.d, length, args.trunc)
 
     if args.a_eq_b:
         _print_coeffs(result.specialize_univariate(), args.json)
@@ -118,8 +117,7 @@ def _cmd_verify(args) -> int:
         limits = _lift(args, max_d, args.d), _lift(args, posets.MAX_JH_SIZE, size)
         report = verify.verify_main(args.d, args.M, args.trunc, *limits)
     elif target == "multifold":
-        folds = _parse_folds(args.folds)
-        report = verify.verify_multifold(folds, args.trunc, _lift(args, max_d, *folds))
+        report = verify.verify_multifold(_parse_folds(args.folds), args.trunc)
     elif target == "schmidt":
         report = verify.verify_schmidt(args.d, args.M, args.trunc, _lift(args, max_d, args.d))
     elif target == "stanley":

@@ -7,6 +7,9 @@ rational forms whose numerators are substituted descent polynomials;
 truncated by keeping the factors n = 1..T, which is exact because every
 dropped factor is 1 + O(q^{T+1}).
 
+The sigma forms and ``djsw_product`` take E_d from the recurrence
+``djsw_recursion``; only the links-only forms enumerate (``eulerian``).
+
 Numerator substitution always happens at the polynomial level. For series
 output the substituted factors are multiplied with a total-degree bound,
 which drops only terms that could never reach a retained coefficient; the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .permstat import MAX_ENUM_D, check_enum_guard, djsw_recursion, euler_mahonian, eulerian
+from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
 from .poset import DiamondSpec
 from .series import Monomial2, Poly2, RationalExpr, TruncSeries2
 
@@ -51,8 +54,8 @@ def _check_dm(d: int, length: int) -> None:
         raise ValueError("length must be at least 1")
 
 
-def _sigma_numerator_factors(d: int, length: int, max_d: int) -> list[Poly2]:
-    em = euler_mahonian(d, max_d)
+def _sigma_numerator_factors(d: int, length: int) -> list[Poly2]:
+    em = djsw_recursion(d)
     return [
         em.substitute(Monomial2((n - 1) * d, n), Monomial2(1, 0))
         for n in range(1, length + 1)
@@ -67,7 +70,7 @@ def _sigma_denominator(d: int, length: int) -> list[Monomial2]:
     return factors
 
 
-def sigma_rational(d: int, length: int, max_d: int = MAX_ENUM_D) -> RationalExpr:
+def sigma_rational(d: int, length: int) -> RationalExpr:
     """The exact rational form of the length-M diamond generating function:
 
         prod_{n=1..M} E_d(a^{(n-1)d} b^n, a)
@@ -79,25 +82,25 @@ def sigma_rational(d: int, length: int, max_d: int = MAX_ENUM_D) -> RationalExpr
     for large truncated expansions.
     """
     _check_dm(d, length)
-    numerator = _product(_sigma_numerator_factors(d, length, max_d))
+    numerator = _product(_sigma_numerator_factors(d, length))
     return RationalExpr(numerator, tuple(_sigma_denominator(d, length)))
 
 
-def sigma_closed(d: int, length: int, truncation: int, max_d: int = MAX_ENUM_D) -> TruncSeries2:
+def sigma_closed(d: int, length: int, truncation: int) -> TruncSeries2:
     """The diamond generating function expanded through total degree T.
 
     Coefficient of a^i b^j counts length-M d-fold diamonds with fold sum i
     and link sum j.
     """
     _check_dm(d, length)
-    numerator = _product(_sigma_numerator_factors(d, length, max_d), truncation)
+    numerator = _product(_sigma_numerator_factors(d, length), truncation)
     return RationalExpr(numerator, tuple(_sigma_denominator(d, length))).expand(truncation)
 
 
-def _multifold_numerator_factors(spec: DiamondSpec, max_d: int) -> list[Poly2]:
+def _multifold_numerator_factors(spec: DiamondSpec) -> list[Poly2]:
     length = spec.length
     return [
-        euler_mahonian(spec.folds[k - 1], max_d).substitute(
+        djsw_recursion(spec.folds[k - 1]).substitute(
             Monomial2(spec.omega(k), length - k + 1), Monomial2(1, 0)
         )
         for k in range(1, length + 1)
@@ -115,7 +118,7 @@ def _multifold_denominator(spec: DiamondSpec) -> list[Monomial2]:
     return factors
 
 
-def sigma_multifold_rational(spec: DiamondSpec, max_d: int = MAX_ENUM_D) -> RationalExpr:
+def sigma_multifold_rational(spec: DiamondSpec) -> RationalExpr:
     """Exact rational form for a diamond whose block k has d_k folds:
 
         prod_{k=1..M} E_{d_k}(a^{w_k} b^{M-k+1}, a)
@@ -125,17 +128,15 @@ def sigma_multifold_rational(spec: DiamondSpec, max_d: int = MAX_ENUM_D) -> Rati
 
     with w_k the number of folds strictly above block k.
     """
-    numerator = _product(_multifold_numerator_factors(spec, max_d))
+    numerator = _product(_multifold_numerator_factors(spec))
     return RationalExpr(numerator, tuple(_multifold_denominator(spec)))
 
 
-def sigma_multifold_closed(
-    spec: DiamondSpec, truncation: int, max_d: int = MAX_ENUM_D
-) -> TruncSeries2:
+def sigma_multifold_closed(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     """The multifold diamond generating function expanded through total
     degree T. On a uniform fold sequence this agrees with ``sigma_closed``
     factor for factor."""
-    numerator = _product(_multifold_numerator_factors(spec, max_d), truncation)
+    numerator = _product(_multifold_numerator_factors(spec), truncation)
     return RationalExpr(numerator, tuple(_multifold_denominator(spec))).expand(truncation)
 
 
@@ -186,22 +187,17 @@ def apr_product(truncation: int) -> list[int]:
     )
 
 
-def djsw_product(
-    d: int,
-    truncation: int,
-    *,
-    use_euler_mahonian: bool = False,
-    max_d: int = MAX_ENUM_D,
-) -> list[int]:
+def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> list[int]:
     """The d-fold diamond product prod_{n>=1} F_d(q^{(n-1)(d+1)+1}, q)/(1-q^n),
     truncated by keeping factors n = 1..T.
 
-    F_d comes from the recurrence by default; with ``use_euler_mahonian``
-    the enumerated descent polynomial is substituted instead, which must
-    give the same coefficients.
+    F_d comes from the recurrence unless ``base`` supplies the descent
+    polynomial, such as the enumerated E_d, which must give the same
+    coefficients.
     """
-    check_enum_guard(d, max_d)
-    base = euler_mahonian(d, max_d) if use_euler_mahonian else djsw_recursion(d)
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    base = djsw_recursion(d) if base is None else base
     return _univariate(
         (
             base.substitute(Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from typing import Iterator, Sequence
 
 from .poset import (
@@ -78,8 +79,16 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
         raise ValueError("d must be at least 1")
     if truncation == 0:
         return [1]
-    poset, _ = build_diamond_poset(DiamondSpec.uniform(d, truncation))
-    c = poset.size
+    spec = DiamondSpec.uniform(d, truncation)
+    c = spec.element_count
+    # The all-zero assignment takes the search c + 1 calls deep: refuse it
+    # before building the poset, not when the search hits the limit.
+    depth, frame = c + 1, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if depth >= sys.getrecursionlimit():
+        raise RecursionError(f"the search needs {c + 1} nested calls, past the recursion limit")
+    poset, _ = build_diamond_poset(spec)
     lowers = [()] + [poset.lower_covers(k) for k in range(1, c + 1)]
     values = [0] * (c + 1)
     coeffs = [0] * (truncation + 1)

@@ -479,10 +479,6 @@ class RationalExpr:
         return series
 
 
-def expand_rational(expr: RationalExpr, truncation: int) -> TruncSeries2:
-    return expr.expand(truncation)
-
-
 # --- rendering ------------------------------------------------------------
 
 

@@ -135,9 +135,11 @@ def verify_main(
     max_size: int = posets.MAX_JH_SIZE,
 ) -> VerifyReport:
     """The uniform closed form against Stanley's formula on the diamond
-    poset and against direct enumeration."""
+    poset and against direct enumeration. Stanley's route walks the (d!)^M
+    linear extensions, so d keeps the enumeration guard."""
+    permstat.check_enum_guard(d, max_d)
     spec = posets.DiamondSpec.uniform(d, length)
-    closed = diamonds.sigma_closed(d, length, truncation, max_d)
+    closed = diamonds.sigma_closed(d, length, truncation)
     diamond_poset, tags = posets.build_diamond_poset(spec)
     stanley = posets.stanley_sigma(diamond_poset, tags, truncation, max_size)
     enumerated = oracle.enumerate_diamonds(spec, truncation)
@@ -151,13 +153,11 @@ def verify_main(
 
 
 @_timed
-def verify_multifold(
-    folds: Sequence[int], truncation: int, max_d: int = permstat.MAX_ENUM_D
-) -> VerifyReport:
+def verify_multifold(folds: Sequence[int], truncation: int) -> VerifyReport:
     """The multifold closed form against direct enumeration; a uniform fold
     sequence is also compared against the single-d closed form."""
     spec = posets.DiamondSpec(tuple(folds))
-    closed = diamonds.sigma_multifold_closed(spec, truncation, max_d)
+    closed = diamonds.sigma_multifold_closed(spec, truncation)
     enumerated = oracle.enumerate_diamonds(spec, truncation)
     report = VerifyReport(
         command="verify multifold",
@@ -166,7 +166,7 @@ def verify_multifold(
     report.compare("closed", closed, "oracle", enumerated)
     report.details.append(f"fold sequence {spec.folds}, {len(closed.terms)} terms")
     if len(set(spec.folds)) == 1:
-        uniform = diamonds.sigma_closed(spec.folds[0], spec.length, truncation, max_d)
+        uniform = diamonds.sigma_closed(spec.folds[0], spec.length, truncation)
         report.compare("multifold", closed, "uniform-closed", uniform)
         report.details.append("uniform sequence: also compared against the single-d closed form")
     return report
@@ -241,8 +241,8 @@ def verify_djsw_product(
 ) -> VerifyReport:
     """The d-fold diamond product, built from the recurrence, against
     enumeration and against the same product built from E_d."""
-    by_recursion = diamonds.djsw_product(d, truncation, max_d=max_d)
-    by_enumeration = diamonds.djsw_product(d, truncation, use_euler_mahonian=True, max_d=max_d)
+    by_enumeration = diamonds.djsw_product(d, truncation, base=permstat.euler_mahonian(d, max_d))
+    by_recursion = diamonds.djsw_product(d, truncation)
     enumerated = oracle.enumerate_infinite_univariate(d, truncation)
     report = VerifyReport("verify djsw-product", {"d": d, "trunc": truncation})
     report.compare("product", by_recursion, "oracle", enumerated)

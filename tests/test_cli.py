@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -147,6 +148,21 @@ def test_verify_main_needs_force_beyond_guard(capsys):
     assert code == 0
 
 
+def test_recurrence_routes_need_no_force_past_the_enumeration_guard(capsys):
+    code, out, _ = run(capsys, "sigma", "--d", "10", "--M", "1", "--trunc", "4")
+    assert code == 0
+    assert out.strip().endswith(" + 120*a^3*b")
+    assert run(capsys, "verify", "multifold", "--folds", "10", "--trunc", "4")[0] == 0
+    # Routes that enumerate S_d, or walk (d!)^M linear extensions, still refuse.
+    for argv in (
+        ["sigma", "--d", "10", "--M", "1", "--trunc", "4", "--schmidt"],
+        ["verify", "main", "--d", "10", "--M", "1", "--trunc", "4"],
+        ["verify", "djsw-product", "--d", "10", "--trunc", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: d=10 exceeds the enumeration guard 9\n")
+
+
 def test_verify_unknown_target(capsys):
     code, _, _ = run(capsys, "verify", "nonsense")
     assert code == 2
@@ -214,9 +230,16 @@ def _bump(exp_a, exp_b):
     return perturb
 
 
-def _bump_e3(out, d, *args):
-    # E_3 = 1 + 2xy + 2xy^2 + x^2y^3; only d = 3 is corrupted
-    return _bump(1, 1)(out) if d == 3 else out
+def _bump_at_d(bad_d, exp_a, exp_b):
+    # corrupts only the descent polynomial of one d
+    def perturb(out, d, *args):
+        return _bump(exp_a, exp_b)(out) if d == bad_d else out
+
+    return perturb
+
+
+def _drop_last(out, *args):
+    return out[:-1]
 
 
 MUTATIONS = [
@@ -234,18 +257,33 @@ MUTATIONS = [
     (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], oracle,
      "enumerate_ppartitions", _bump(0, 0),
      {"monomial": [0, 0], "poset_index": 0, "lhs_coefficient": "1", "rhs_coefficient": "2"}),
-    (["theorem1", "--dmax", "4"], permstat, "euler_mahonian", _bump_e3,
+    # E_3 = 1 + 2xy + 2xy^2 + x^2y^3
+    (["theorem1", "--dmax", "4"], permstat, "euler_mahonian", _bump_at_d(3, 1, 1),
      {"d": 3, "monomial": [1, 1], "lhs_coefficient": "2", "rhs_coefficient": "3"}),
+    # The closed forms take E_d from the recurrence; Stanley's route does not.
+    (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "djsw_recursion",
+     _bump_at_d(2, 1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
+    (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "_multifold_denominator",
+     _drop_last, {"monomial": [0, 1], "lhs": "closed", "rhs": "oracle"}),
 ]
 
 
+def _mutation_ids(cases):
+    """The target name, plus the corrupted function on a repeated target."""
+    ids = []
+    for argv, _, name, *_ in cases:
+        ids.append(f"{argv[0]}-{name.lstrip('_')}" if argv[0] in ids else argv[0])
+    return ids
+
+
 @pytest.mark.parametrize(
-    "argv, module, name, perturb, expected", MUTATIONS, ids=[case[0][0] for case in MUTATIONS]
+    "argv, module, name, perturb, expected", MUTATIONS, ids=_mutation_ids(MUTATIONS)
 )
 def test_verify_detects_an_off_by_one_result(capsys, monkeypatch, argv, module, name, perturb,
                                              expected):
-    # One library result off by one coefficient must fail its target with
-    # exit 1 and name that coefficient.
+    # One corrupted library result (a coefficient off by one, or a dropped
+    # denominator factor) must fail its target with exit 1 and name the
+    # first differing coefficient.
     original = getattr(module, name)
 
     def perturbed(*args, **kwargs):
@@ -308,6 +346,17 @@ def test_deep_recursion_is_a_usage_error(capsys):
     assert err.startswith("error: recursion too deep")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in out + err
+
+
+def test_deep_oracle_search_is_refused_before_it_starts(capsys):
+    # The oracle would search 5 * 200 + 2 calls deep, past the default
+    # recursion limit; building its 1001-element poset alone takes seconds.
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "djsw-product", "--d", "4", "--trunc", "200")
+    assert time.monotonic() - start < 8.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: recursion too deep; use a smaller --trunc or --d\n"
 
 
 def test_verify_report_invariant():

@@ -15,9 +15,10 @@ from diamondgf.oracle import (
     enumerate_infinite_univariate,
     schmidt_oracle,
 )
-from diamondgf.permstat import DTooLarge
+from diamondgf.permstat import DTooLarge, euler_mahonian
 from diamondgf.poset import DiamondSpec, build_diamond_poset, stanley_sigma
 from diamondgf.series import Monomial2, Poly2, RationalExpr
+from diamondgf.verify import verify_djsw_product
 
 
 def partition_numbers(limit):
@@ -84,10 +85,18 @@ def test_sigma_coefficients_nonnegative():
 
 
 def test_sigma_guards():
-    with pytest.raises(DTooLarge):
-        sigma_closed(10, 1, 2)
     with pytest.raises(ValueError):
         sigma_closed(1, 0, 2)
+    with pytest.raises(ValueError):
+        sigma_closed(0, 1, 2)
+
+
+def test_recurrence_forms_past_the_enumeration_guard():
+    # E_d comes from the recurrence, so d = 10 needs no 10! enumeration.
+    assert sigma_closed(10, 1, 6) == enumerate_diamonds(DiamondSpec.uniform(10, 1), 6)
+    spec = DiamondSpec((10, 2))
+    assert sigma_multifold_closed(spec, 6) == enumerate_diamonds(spec, 6)
+    assert djsw_product(10, 6) == enumerate_infinite_univariate(10, 6)
 
 
 def test_multifold_uniform_matches_single_d_form():
@@ -184,7 +193,7 @@ def test_djsw_product_values():
     assert djsw_product(1, 6) == partition_numbers(6)
     assert djsw_product(2, 10) == apr_product(10)
     for d in (1, 2, 3, 4, 5):
-        assert djsw_product(d, 8) == djsw_product(d, 8, use_euler_mahonian=True)
+        assert djsw_product(d, 8) == djsw_product(d, 8, base=euler_mahonian(d))
 
 
 def test_djsw_product_matches_enumeration():
@@ -193,5 +202,10 @@ def test_djsw_product_matches_enumeration():
 
 
 def test_djsw_product_guard():
+    with pytest.raises(ValueError):
+        djsw_product(0, 4)
+    with pytest.raises(ValueError):
+        djsw_product(0, 4, base=Poly2.one())
+    # The enumerated side of the cross-check keeps the d <= 9 guard.
     with pytest.raises(DTooLarge):
-        djsw_product(10, 4)
+        verify_djsw_product(10, 4)
