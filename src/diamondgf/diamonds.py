@@ -99,8 +99,9 @@ def sigma_closed(d: int, length: int, truncation: int) -> TruncSeries2:
 
 def _multifold_numerator_factors(spec: DiamondSpec) -> list[Poly2]:
     length = spec.length
+    descent_polys = {d: djsw_recursion(d) for d in set(spec.folds)}
     return [
-        djsw_recursion(spec.folds[k - 1]).substitute(
+        descent_polys[spec.folds[k - 1]].substitute(
             Monomial2(spec.omega(k), length - k + 1), Monomial2(1, 0)
         )
         for k in range(1, length + 1)

@@ -1,9 +1,24 @@
 """Brute-force enumeration oracles.
 
 These recount, object by object, what the closed formulas claim. They are
-deliberately naive (depth-first search with budget pruning, no memoization,
-no algebra) so that agreement with the series machinery is a genuine
-two-route check rather than a tautology.
+deliberately naive (depth-first search, no memoization, no algebra, nothing
+from ``diamonds`` or ``permstat``) so that agreement with the series
+machinery is a genuine two-route check rather than a tautology.
+
+The searches only skip branches that can hold no object:
+
+- ``enumerate_ppartitions`` caps element k at ``budget // (1 + u)``, where u
+  counts the elements above k. Each of them is at least k's value, so a
+  larger value overspends the budget however the rest is filled.
+- ``enumerate_infinite_univariate`` seals on an element that lies below
+  every later element: the values decrease upward, so a 0 there forces
+  every later value to 0. That single completion is counted at once and
+  the loop starts at 1.
+- ``schmidt_oracle`` caps each link at the unspent link budget over the
+  links left, this one included. Links weakly increase, so each later link
+  costs at least as much.
+
+Every object is still reached by its own path and counted once.
 """
 
 from __future__ import annotations
@@ -33,12 +48,18 @@ def enumerate_ppartitions(
 
     Elements are assigned in label order, so every lower cover is already
     fixed; each value ranges from the largest lower-cover value up to the
-    remaining budget. One monomial is accumulated per assignment: the fold
-    tags feed the first exponent, the link tags the second.
+    remaining budget shared with the elements above it. One monomial is
+    accumulated per assignment: the fold tags feed the first exponent, the
+    link tags the second.
     """
     tags = validate_assignment(assignment, p.size)
     c = p.size
     lowers = [()] + [p.lower_covers(k) for k in range(1, c + 1)]
+    # Element k plus every element above it (all later, by natural labels).
+    shares = [1] * (c + 1)
+    for j in range(1, c + 1):
+        for k in p.predecessors(j):
+            shares[k] += 1
     is_fold = [False] + [tag == FOLD_TAG for tag in tags]
     values = [0] * (c + 1)
     counts: dict[tuple[int, int], int] = {}
@@ -49,15 +70,18 @@ def enumerate_ppartitions(
             counts[key] = counts.get(key, 0) + 1
             return
         low = max((values[j] for j in lowers[k]), default=0)
-        budget = truncation - weight_a - weight_b
-        for m in range(low, budget + 1):
+        cap = (truncation - weight_a - weight_b) // shares[k]
+        for m in range(low, cap + 1):
             values[k] = m
             if is_fold[k]:
                 assign(k + 1, weight_a + m, weight_b)
             else:
                 assign(k + 1, weight_a, weight_b + m)
 
-    assign(1, 0, 0)
+    try:
+        assign(1, 0, 0)
+    finally:
+        del assign  # it refers to itself through its closure
     return TruncSeries2(truncation, counts)
 
 
@@ -90,6 +114,11 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
         raise RecursionError(f"the search needs {c + 1} nested calls, past the recursion limit")
     poset, _ = build_diamond_poset(spec)
     lowers = [()] + [poset.lower_covers(k) for k in range(1, c + 1)]
+    # Values decrease upward, so 0 on an element below every later element
+    # forces 0 on the rest.
+    seals = [False] + [
+        all(k in poset.predecessors(j) for j in range(k + 1, c + 1)) for k in range(1, c + 1)
+    ]
     values = [0] * (c + 1)
     coeffs = [0] * (truncation + 1)
 
@@ -101,11 +130,18 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
             return
         cap = min((values[j] for j in lowers[k]), default=truncation - total)
         cap = min(cap, truncation - total)
-        for m in range(0, cap + 1):
+        low = 0
+        if seals[k]:
+            coeffs[total] += 1
+            low = 1
+        for m in range(low, cap + 1):
             values[k] = m
             assign(k + 1, total + m)
 
-    assign(1, 0)
+    try:
+        assign(1, 0)
+    finally:
+        del assign  # it refers to itself through its closure
     return coeffs
 
 
@@ -114,7 +150,8 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
 
     Links form a weakly increasing chain; every fold sits between its two
     neighbouring links, so folds are enumerated over that finite sandwich
-    range with no artificial cap. Fold values do not enter the weight.
+    range with no artificial cap. Fold values do not enter the weight. A
+    link is capped by the unspent budget shared with the links after it.
     """
     if d < 1 or length < 1:
         raise ValueError("d and length must be at least 1")
@@ -126,12 +163,16 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
         if block > length:
             coeffs[link_sum] += 1
             return
-        for link in range(prev_link, truncation - link_sum + 1):
+        cap = (truncation - link_sum) // (length - block + 1)
+        for link in range(prev_link, cap + 1):
             for _folds in itertools.product(range(prev_link, link + 1), repeat=d):
                 assign(block + 1, link, link_sum + link)
 
-    for first_link in range(truncation + 1):
-        assign(1, first_link, first_link)
+    try:
+        for first_link in range(truncation // (length + 1) + 1):
+            assign(1, first_link, first_link)
+    finally:
+        del assign  # it refers to itself through its closure
     return coeffs
 
 

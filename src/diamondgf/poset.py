@@ -87,14 +87,17 @@ class Poset:
                 if not implied:
                     reduced.add((j, k))
 
-        lowers = {k: tuple(sorted(j for j, kk in reduced if kk == k)) for k in range(1, size + 1)}
-        uppers = {j: tuple(sorted(k for jj, k in reduced if jj == j)) for j in range(1, size + 1)}
+        lowers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
+        uppers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
+        for j, k in sorted(reduced):
+            lowers[k].append(j)
+            uppers[j].append(k)
 
         self.size = size
         self.covers = frozenset(reduced)
         self._pred = {k: frozenset(v) for k, v in pred.items()}
-        self._lowers = lowers
-        self._uppers = uppers
+        self._lowers = {k: tuple(v) for k, v in lowers.items()}
+        self._uppers = {j: tuple(v) for j, v in uppers.items()}
 
     def lower_covers(self, k: int) -> tuple[int, ...]:
         return self._lowers[k]
@@ -205,15 +208,21 @@ def build_diamond_poset(spec: DiamondSpec) -> tuple[Poset, tuple[str, ...]]:
     folds (an antichain) capped by the next link.
 
     Returns the poset together with the variable assignment tagging link
-    elements ``b`` and fold elements ``a``.
+    elements ``b`` and fold elements ``a``. This is the linear sum
+    chain(1) + q(d_1) + ... + q(d_M), with its covers listed directly.
     """
-    poset = build_chain(1)
+    covers: list[tuple[int, int]] = []
     tags = [LINK_TAG]
+    link = 1
     for d in spec.folds:
-        poset = linear_sum(poset, build_q_poset(d))
+        top = link + d + 1
+        for fold in range(link + 1, top):
+            covers.append((link, fold))
+            covers.append((fold, top))
         tags.extend([FOLD_TAG] * d)
         tags.append(LINK_TAG)
-    return poset, tuple(tags)
+        link = top
+    return Poset(link, covers), tuple(tags)
 
 
 def constant_assignment(size: int, tag: str = LINK_TAG) -> tuple[str, ...]:
@@ -264,7 +273,10 @@ def jordan_holder(p: Poset, max_size: int = MAX_JH_SIZE) -> list[tuple[int, ...]
                 pending[upper] += 1
             used[k] = False
 
-    extend()
+    try:
+        extend()
+    finally:
+        del extend  # it refers to itself through its closure
     return words
 
 

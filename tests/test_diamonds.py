@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondgf.diamonds import (
     apr_product,
@@ -119,6 +120,13 @@ def test_multifold_matches_oracle():
     for folds in ((1, 2), (2, 1), (2, 3)):
         spec = DiamondSpec(folds)
         assert sigma_multifold_closed(spec, 8) == enumerate_diamonds(spec, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 7))
+def test_multifold_closed_matches_oracle_on_random_specs(folds, truncation):
+    spec = DiamondSpec(folds)
+    assert sigma_multifold_closed(spec, truncation) == enumerate_diamonds(spec, truncation)
 
 
 def test_multifold_order_matters():

@@ -1,4 +1,8 @@
+import gc
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondgf.oracle import (
     enumerate_diamonds,
@@ -9,9 +13,12 @@ from diamondgf.oracle import (
 )
 from diamondgf.poset import (
     DiamondSpec,
+    Poset,
     build_antichain,
     build_chain,
+    build_q_poset,
     constant_assignment,
+    jordan_holder,
     stanley_sigma,
 )
 from diamondgf.series import Poly2, RationalExpr, TruncSeries2
@@ -107,3 +114,84 @@ def test_corpus_is_deterministic():
 def test_corpus_matches_stanley_on_a_sample():
     for p, tags in random_poset_corpus(40, seed=5, max_size=6):
         assert stanley_sigma(p, tags, 6) == enumerate_ppartitions(p, tags, 6)
+
+
+oracle_settings = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def small_posets(draw, max_size=5):
+    size = draw(st.integers(1, max_size))
+    pairs = [(j, k) for j in range(1, size + 1) for k in range(j + 1, size + 1)]
+    covers = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    tags = tuple(draw(st.lists(st.sampled_from("ab"), min_size=size, max_size=size)))
+    return Poset(size, covers), tags
+
+
+@oracle_settings
+@given(small_posets(), st.integers(0, 5))
+def test_ppartitions_match_exhaustive_search(poset_and_tags, truncation):
+    # Every value tuple in [0, T]^c, kept when order-preserving and in budget.
+    p, tags = poset_and_tags
+    counts = {}
+    for values in itertools.product(range(truncation + 1), repeat=p.size):
+        if sum(values) > truncation:
+            continue
+        if any(values[j - 1] > values[k - 1] for j, k in p.covers):
+            continue
+        fold_sum = sum(v for v, tag in zip(values, tags) if tag == "a")
+        key = (fold_sum, sum(values) - fold_sum)
+        counts[key] = counts.get(key, 0) + 1
+    assert enumerate_ppartitions(p, tags, truncation) == TruncSeries2(truncation, counts)
+
+
+def _unpruned_schmidt(d, length, truncation):
+    coeffs = [0] * (truncation + 1)
+
+    def assign(block, prev_link, link_sum):
+        if block > length:
+            coeffs[link_sum] += 1
+            return
+        for link in range(prev_link, truncation - link_sum + 1):
+            for _folds in itertools.product(range(prev_link, link + 1), repeat=d):
+                assign(block + 1, link, link_sum + link)
+
+    for first_link in range(truncation + 1):
+        assign(1, first_link, first_link)
+    return coeffs
+
+
+@oracle_settings
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 7))
+def test_schmidt_oracle_matches_unpruned_search(d, length, truncation):
+    assert schmidt_oracle(d, length, truncation) == _unpruned_schmidt(d, length, truncation)
+
+
+@oracle_settings
+@given(st.integers(1, 3), st.integers(0, 7))
+def test_infinite_oracle_matches_a_long_finite_diamond(d, truncation):
+    # A length-T diamond holds every infinite diamond of total sum <= T.
+    finite = enumerate_diamonds(DiamondSpec.uniform(d, max(truncation, 1)), truncation)
+    assert enumerate_infinite_univariate(d, truncation) == finite.specialize_univariate()
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: enumerate_ppartitions(build_chain(3), constant_assignment(3), 4),
+        lambda: enumerate_infinite_univariate(2, 6),
+        lambda: schmidt_oracle(2, 3, 6),
+        lambda: jordan_holder(build_q_poset(3)),
+    ],
+    ids=["ppartitions", "infinite", "schmidt", "jordan_holder"],
+)
+def test_searches_leave_no_reference_cycles(search):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        search()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

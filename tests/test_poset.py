@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondgf.poset import (
     CycleDetected,
@@ -106,6 +107,19 @@ def test_build_diamond_poset():
     p, tags = build_diamond_poset(DiamondSpec.uniform(2, 2))
     assert p.size == 7
     assert tags == ("b", "a", "a", "b", "a", "a", "b")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+def test_build_diamond_poset_is_the_linear_sum_of_blocks(folds):
+    reference = build_chain(1)
+    for d in folds:
+        reference = linear_sum(reference, build_q_poset(d))
+    p, _ = build_diamond_poset(DiamondSpec(folds))
+    assert p == reference
+    for k in range(1, p.size + 1):
+        assert p.lower_covers(k) == reference.lower_covers(k)
+        assert p.upper_covers(k) == reference.upper_covers(k)
 
 
 def test_jordan_holder_examples():
