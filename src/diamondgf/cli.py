@@ -131,7 +131,22 @@ def _cmd_verify(args) -> int:
         print(json.dumps(report.as_json_dict(), sort_keys=True))
     else:
         print(report.text())
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+    if report.passed:
+        return EXIT_OK
+    import shlex  # only a failing verify needs it, so every other start-up skips it
+
+    print(f"reproduce: {shlex.join(_verify_argv(args))}", file=sys.stderr)
+    return EXIT_MISMATCH
+
+
+def _verify_argv(args) -> list[str]:
+    """The command line that reruns this verify target with every option
+    spelled out, defaults included, and JSON output."""
+    words = ["diamondgf", "verify", args.target]
+    for dest, value in vars(args).items():
+        if dest not in ("subcommand", "target", "handler", "json", "force"):
+            words += [f"--{dest.replace('_', '-')}", str(value)]
+    return words + (["--force"] if args.force else []) + ["--json"]
 
 
 def _cmd_ppartition(args) -> int:

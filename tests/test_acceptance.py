@@ -49,11 +49,11 @@ def criterion(label, time_limit=None):
 
 
 def test_criterion_1_recursion_equals_enumeration():
-    with criterion("criterion 1 (recurrence equals enumeration, d <= 7)", time_limit=10):
-        report = verify_theorem1(7)
+    with criterion("criterion 1 (recurrence equals enumeration, d <= 9)", time_limit=10):
+        report = verify_theorem1(9)
         assert report.passed
         assert report.mismatch is None
-        assert [line.split(":")[0] for line in report.details] == [f"d={d}" for d in range(1, 8)]
+        assert [line.split(":")[0] for line in report.details] == [f"d={d}" for d in range(1, 10)]
         assert all(": equal " in line for line in report.details)
 
 

@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 import time
 
@@ -290,14 +291,38 @@ def test_verify_detects_an_off_by_one_result(capsys, monkeypatch, argv, module, 
         return perturb(original(*args, **kwargs), *args)
 
     monkeypatch.setattr(module, name, perturbed)
-    code, out, _ = run(capsys, "verify", *argv, "--json")
+    code, out, err = run(capsys, "verify", *argv, "--json")
     assert code == 1
     payload = json.loads(out)
     assert payload["status"] == "fail"
     assert expected.items() <= payload["mismatch"].items()
-    code, out, _ = run(capsys, "verify", *argv)
+    reproduce = _reproduce_argv(err, argv[0])
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 1
     assert "status: fail" in out and "mismatch: " in out
+    assert _reproduce_argv(err, argv[0]) == reproduce
+    # The printed command, run with the corruption still in place, fails the
+    # same way.
+    code, out, err = run(capsys, *reproduce[1:])
+    assert code == 1
+    assert json.loads(out) == payload
+    assert _reproduce_argv(err, argv[0]) == reproduce
+
+
+def _reproduce_argv(err, target):
+    """The argv of the one reproduce line on stderr, checked for its form."""
+    lines = [line for line in err.splitlines() if line.startswith("reproduce: ")]
+    assert len(lines) == 1, err
+    argv = shlex.split(lines[0].removeprefix("reproduce: "))
+    assert argv[:3] == ["diamondgf", "verify", target] and argv[-1] == "--json"
+    return argv
+
+
+def test_passing_verify_writes_nothing_to_stderr(capsys):
+    for argv in (["theorem1", "--dmax", "4"], ["apr", "--trunc", "6"]):
+        for extra in ([], ["--json"]):
+            code, _, err = run(capsys, "verify", *argv, *extra)
+            assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize(

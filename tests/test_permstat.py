@@ -75,9 +75,36 @@ def test_euler_mahonian_small_values():
     assert euler_mahonian(3) == Poly2({(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1})
 
 
+def _euler_mahonian_word_by_word(d):
+    """The plain tally: every word's descents and major index by one scan."""
+    counts = {}
+    for w in permutations(range(1, d + 1)):
+        des = 0
+        maj = 0
+        for j in range(1, d):
+            if w[j - 1] > w[j]:
+                des += 1
+                maj += j
+        key = (des, maj)
+        counts[key] = counts.get(key, 0) + 1
+    return Poly2(counts)
+
+
+def test_euler_mahonian_matches_a_word_by_word_scan():
+    # d <= 6 is the rank-word table alone; d = 7, 8 add prefixes and the
+    # descent at their junction with the table's words.
+    for d in range(1, 9):
+        assert euler_mahonian(d) == _euler_mahonian_word_by_word(d), d
+
+
 def test_euler_mahonian_counts_all_permutations():
-    for d in range(1, 7):
+    # Each word adds one to exactly one coefficient.
+    for d in range(1, 10):
         assert euler_mahonian(d).evaluate(1, 1) == math.factorial(d)
+
+
+def test_euler_mahonian_past_the_guard_equals_the_recursion():
+    assert euler_mahonian(10, max_d=10) == djsw_recursion(10)
 
 
 def test_euler_mahonian_degrees():
