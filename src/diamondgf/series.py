@@ -4,13 +4,17 @@ prod (1 - monomial).
 
 Coefficients are plain Python integers, so partition counts never wrap
 around. A polynomial is stored as a map from exponent pairs to nonzero
-coefficients; a truncated series additionally carries a total-degree bound T
-and keeps only monomials with exp_a + exp_b <= T. The two variables are
-anonymous slots; rendering attaches names such as ``a, b`` or ``x, y`` only
-at output time.
+coefficients. A truncated series carries a total-degree bound T and is
+stored as triangular rows: ``rows[i][j]`` is the coefficient of a^i b^j,
+row i has T - i + 1 entries, and trailing all-zero rows are dropped, so
+equal series have equal rows. Its ``terms`` map is built from the rows on
+first read and cached. The two variables are anonymous slots; rendering
+attaches names such as ``a, b`` or ``x, y`` only at output time.
 
 All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads.
+function, so they are safe to share across threads. The one write after
+construction, filling a series' cached ``terms``, is idempotent: threads
+that race to fill it store equal maps.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -123,18 +129,18 @@ class _TermMap:
         return self._terms
 
     def coefficient(self, exp_a: int, exp_b: int) -> int:
-        return self._terms.get(Monomial2(exp_a, exp_b), 0)
+        return self.terms.get(Monomial2(exp_a, exp_b), 0)
 
     def sorted_terms(self) -> list[tuple[Monomial2, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _grlex(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]))
 
     def first_difference(self, other: "_TermMap") -> Optional[tuple[Monomial2, int, int]]:
         """Graded-lex smallest monomial where the two differ, with both
         coefficients, or None when equal."""
-        keys = set(self._terms) | set(other._terms)
-        for mono in sorted(keys, key=_grlex):
-            left = self._terms.get(mono, 0)
-            right = other._terms.get(mono, 0)
+        mine, theirs = self.terms, other.terms
+        for mono in sorted(set(mine) | set(theirs), key=_grlex):
+            left = mine.get(mono, 0)
+            right = theirs.get(mono, 0)
             if left != right:
                 return (mono, left, right)
         return None
@@ -338,6 +344,86 @@ def _check_truncation(truncation: int) -> None:
         raise ValueError("truncation must be nonnegative")
 
 
+# rows[i][j] is the coefficient of a^i b^j; row i has T - i + 1 entries.
+Rows = list[list[int]]
+
+
+def _trimmed(rows: Rows) -> Rows:
+    """Drop trailing all-zero rows in place, so equal series have equal rows."""
+    while rows and not any(rows[-1]):
+        rows.pop()
+    return rows
+
+
+def _rows_from_terms(truncation: int, terms: Mapping) -> Rows:
+    """The rows of a term map with no zero coefficients and no term beyond
+    the bound; its highest exp_a gives the last row, which is nonzero."""
+    height = max((mono[0] for mono in terms), default=-1) + 1
+    rows = [[0] * (truncation - i + 1) for i in range(height)]
+    for (i, j), coeff in terms.items():
+        rows[i][j] = coeff
+    return rows
+
+
+def _sweep_row(row: list[int], step: int) -> None:
+    """row[j] += row[j - step] for j increasing, in place: the row times
+    1/(1 - b^step)."""
+    if step * step <= len(row):
+        # Each residue class mod step becomes its running sum.
+        for start in range(step):
+            row[start::step] = accumulate(row[start::step])
+    else:
+        # Each block of step entries adds the finished block before it.
+        for start in range(step, len(row), step):
+            row[start:start + step] = map(add, row[start:start + step], row[start - step:start])
+
+
+def _sweep(rows: Rows, ray: Monomial2, truncation: int) -> Rows:
+    """The rows times 1/(1 - a^alpha b^beta): on a copy, c[i][j] +=
+    c[i - alpha][j - beta] in increasing (i, j). Costs O(T) list operations
+    when alpha > 0 and O(sqrt T) per row when alpha = 0."""
+    alpha, beta = ray
+    out = [row[:] for row in rows]
+    if alpha:
+        out += [[0] * (truncation - i + 1) for i in range(len(out), truncation + 1)]
+        for i in range(alpha, truncation + 1):
+            row = out[i]
+            # Row i - alpha is final already; zip-style map stops at row i's end.
+            row[beta:] = map(add, row[beta:], out[i - alpha])
+    else:
+        for row in out:
+            _sweep_row(row, beta)
+    return _trimmed(out)
+
+
+def _term_count(rows: Rows) -> int:
+    return sum(len(row) - row.count(0) for row in rows)
+
+
+def _row_product(left: Rows, right: Rows, truncation: int) -> Rows:
+    """left * right through the bound: each term of the operand with fewer
+    terms adds a scaled, shifted slice of the other operand's rows."""
+    if _term_count(left) > _term_count(right):
+        left, right = right, left
+    height = min(truncation + 1, len(left) + len(right) - 1)
+    out = [[0] * (truncation - i + 1) for i in range(height)]
+    for i, row in enumerate(left):
+        for j, coeff in enumerate(row):
+            if coeff:
+                for target, source in zip(out[i:], right):
+                    target[j:] = [x + coeff * y for x, y in zip(target[j:], source)]
+    return _trimmed(out)
+
+
+def _row_sum(left: Rows, right: Rows, sign: int) -> Rows:
+    """left + sign * right, row by row. Rows only one side has are shared,
+    which is safe because no kernel writes to a row it did not create."""
+    out = [list(map(add if sign == 1 else sub, a, b)) for a, b in zip(left, right)]
+    out += left[len(right):]
+    out += right[len(left):] if sign == 1 else [[-c for c in row] for row in right[len(left):]]
+    return _trimmed(out)
+
+
 class TruncSeries2(_TermMap):
     """A power series kept only through total degree ``truncation``.
 
@@ -345,7 +431,7 @@ class TruncSeries2(_TermMap):
     else raises TruncationMismatch rather than silently mixing precisions.
     """
 
-    __slots__ = ("_truncation",)
+    __slots__ = ("_truncation", "_rows", "_ray")
 
     def __init__(self, truncation: int, terms: Mapping | Iterable = ()) -> None:
         _check_truncation(truncation)
@@ -355,26 +441,32 @@ class TruncSeries2(_TermMap):
             if mono.degree > truncation:
                 raise ValueError(f"term {mono} exceeds truncation {truncation}")
         self._truncation = truncation
+        self._rows = _rows_from_terms(truncation, collected)
         self._terms = collected
+        self._ray = None
 
     @classmethod
-    def _trusted(cls, truncation: int, terms: dict[Monomial2, int]) -> "TruncSeries2":
-        """Wrap a term map this module built itself, with Monomial2 keys, no
-        zero coefficients and no term beyond the bound, without the public
-        constructor's checks."""
+    def _from_rows(
+        cls, truncation: int, rows: Rows, ray: Optional[Monomial2] = None
+    ) -> "TruncSeries2":
+        """Wrap rows this module built itself, row i of length T - i + 1 and
+        no trailing all-zero row, without the public constructor's checks.
+        ``ray`` marks the series 1/(1 - ray) for the product sweep."""
         series = cls.__new__(cls)
         series._truncation = truncation
-        series._terms = terms
+        series._rows = rows
+        series._terms = None
+        series._ray = ray
         return series
 
     @classmethod
     def from_poly(cls, poly: Poly2, truncation: int) -> "TruncSeries2":
         """The polynomial viewed as a series: terms beyond the bound drop."""
         _check_truncation(truncation)
-        return cls._trusted(
-            truncation,
-            {m: c for m, c in poly.terms.items() if m.degree <= truncation},
-        )
+        terms = {m: c for m, c in poly.terms.items() if m.degree <= truncation}
+        series = cls._from_rows(truncation, _rows_from_terms(truncation, terms))
+        series._terms = terms
+        return series
 
     @classmethod
     def zero(cls, truncation: int) -> "TruncSeries2":
@@ -388,6 +480,21 @@ class TruncSeries2(_TermMap):
     def truncation(self) -> int:
         return self._truncation
 
+    @property
+    def terms(self) -> Mapping[Monomial2, int]:
+        """The term map, built from the rows on first read; treat as
+        read-only."""
+        terms = self._terms
+        if terms is None:
+            terms = {
+                Monomial2(i, j): c
+                for i, row in enumerate(self._rows)
+                for j, c in enumerate(row)
+                if c
+            }
+            self._terms = terms
+        return terms
+
     def _check_compatible(self, other: "TruncSeries2") -> None:
         if self._truncation != other._truncation:
             raise TruncationMismatch(
@@ -397,33 +504,39 @@ class TruncSeries2(_TermMap):
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        return self._truncation == other._truncation and self._terms == other._terms
+        return self._truncation == other._truncation and self._rows == other._rows
 
     def __add__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        return TruncSeries2._trusted(self._truncation, _add_terms(self._terms, other._terms))
+        return TruncSeries2._from_rows(self._truncation, _row_sum(self._rows, other._rows, 1))
 
     def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        return TruncSeries2._trusted(self._truncation, _add_terms(self._terms, other._terms, -1))
+        return TruncSeries2._from_rows(self._truncation, _row_sum(self._rows, other._rows, -1))
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
         bound = self._truncation
-        return TruncSeries2._trusted(bound, _mul_terms(self._terms, other._terms, bound))
+        if other._ray is not None:
+            rows = _sweep(self._rows, other._ray, bound)
+        elif self._ray is not None:
+            rows = _sweep(other._rows, self._ray, bound)
+        else:
+            rows = _row_product(self._rows, other._rows, bound)
+        return TruncSeries2._from_rows(bound, rows)
 
     def specialize_univariate(self) -> list[int]:
         """Set both variables to one formal variable q: the coefficient of
         q^n is the sum of all coefficients of total degree n."""
         out = [0] * (self._truncation + 1)
-        for mono, coeff in self._terms.items():
-            out[mono.degree] += coeff
+        for i, row in enumerate(self._rows):
+            out[i:] = map(add, out[i:], row)
         return out
 
     def first_difference(self, other: "TruncSeries2") -> Optional[tuple[Monomial2, int, int]]:
@@ -435,17 +548,24 @@ class TruncSeries2(_TermMap):
 
 
 def geometric_series(mono: MonomialLike, truncation: int) -> TruncSeries2:
-    """1/(1 - m) = 1 + m + m^2 + ... through the truncation bound."""
+    """1/(1 - m) = 1 + m + m^2 + ... through the truncation bound.
+
+    The result records m, so a product with it, on either side, runs as the
+    sweep c[i][j] += c[i - alpha][j - beta] over a copy of the other
+    factor's rows instead of a convolution. A factor then costs O(T) list
+    operations (O(sqrt T) per row when alpha = 0), not one multiply for
+    each pair of a term and a power of m: O(T^2 / deg m) for a series in b
+    alone.
+    """
     m = _as_monomial(mono)
     if m.degree == 0:
         raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
     _check_truncation(truncation)
-    terms = {}
-    k = 0
-    while k * m.degree <= truncation:
-        terms[Monomial2(k * m.exp_a, k * m.exp_b)] = 1
-        k += 1
-    return TruncSeries2._trusted(truncation, terms)
+    powers = truncation // m.degree + 1
+    rows = [[0] * (truncation - i + 1) for i in range((powers - 1) * m.exp_a + 1)]
+    for k in range(powers):
+        rows[k * m.exp_a][k * m.exp_b] = 1
+    return TruncSeries2._from_rows(truncation, rows, m)
 
 
 @dataclass(frozen=True)
@@ -466,6 +586,11 @@ class RationalExpr:
 
     def expand(self, truncation: int) -> TruncSeries2:
         """Multiply the numerator by each factor's geometric expansion.
+
+        Each product with ``geometric_series`` runs as a sweep over the
+        rows: a factor (1 - a^alpha b^beta) with alpha > 0 costs one slice
+        add per row, O(T) list operations and O(T^2) integer additions, and
+        a factor (1 - b^beta) costs O(sqrt T) slice operations per row.
 
         Numerator terms beyond the bound drop up front, and factors whose
         monomial degree exceeds the bound expand to 1; neither affects any

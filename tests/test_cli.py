@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import diamondgf
 from diamondgf import cli, diamonds, oracle, permstat
 from diamondgf.cli import main
 from diamondgf.series import Monomial2, Poly2, TruncSeries2
@@ -416,3 +420,18 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     code, out, _ = run(capsys, "sigma", "--d", "1", "--trunc", "4")
     assert code == 0
     assert out.strip().endswith(" + 2*a*b^3 + a^2*b^2")
+
+
+def test_module_runs_from_a_checkout():
+    # python -m diamondgf needs only the package on the path, not the
+    # installed script; importing the package must not start the command.
+    src = str(Path(diamondgf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "diamondgf", "verify", "apr", "--trunc", "5", "--json"]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "pass"
+    probe = "import sys, diamondgf; print('diamondgf.__main__' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.stdout.strip() == "False", done.stderr

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,12 +186,113 @@ def test_kernel_results_are_valid_term_maps(p, q, bound, x_image, y_image):
     if q:
         results.append((p * q).divide_exact(q))
     s, t = TruncSeries2.from_poly(p, bound), TruncSeries2.from_poly(q, bound)
-    results += [s, s + t, s - t, s * t]
+    results += [s, s + t, s - t, s * t, s - s]
     factors = tuple(Monomial2(*m) for m in (x_image, y_image) if sum(m))
     results += [geometric_series(m, bound) for m in factors]
+    results += [s * geometric_series(m, bound) for m in factors]
     results.append(RationalExpr(p, factors).expand(bound))
+    # Every row above the first cancels, so the sum must shed those rows.
+    upper = TruncSeries2(bound, {m: -c for m, c in s.terms.items() if m.exp_a})
+    results.append(s + upper)
     for result in results:
         assert_valid_term_map(result)
+    assert s - s == TruncSeries2.zero(bound)
+
+
+# Coefficients past 64 bits or negative, so no kernel can lean on machine
+# integers or on cancellation-free sums.
+coefficients = st.one_of(
+    st.integers(-3, 3), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64))
+)
+# A ray a^alpha b^beta: one along b alone and one with alpha > 0.
+flat_rays = st.tuples(st.just(0), st.integers(1, 4))
+rising_rays = st.tuples(st.integers(1, 3), st.integers(0, 3))
+
+
+def series_terms(truncation):
+    in_bound = [(i, j) for i in range(truncation + 1) for j in range(truncation + 1 - i)]
+    return st.dictionaries(st.sampled_from(in_bound), coefficients, max_size=8)
+
+
+def reference_product(left, right, truncation):
+    """The sparse truncated product of two term maps, term pair by term pair."""
+    out = {}
+    for (ia, ib), c1 in left.items():
+        for (ja, jb), c2 in right.items():
+            if ia + ib + ja + jb <= truncation:
+                key = (ia + ja, ib + jb)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_geometric(ray, truncation):
+    alpha, beta = ray
+    return {(k * alpha, k * beta): 1 for k in range(truncation // (alpha + beta) + 1)}
+
+
+def reference_sum(left, right, sign):
+    out = dict(left)
+    for m, c in right.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 10), flat_rays, rising_rays)
+def test_row_kernels_match_sparse_reference(data, truncation, flat, rising):
+    s_terms = data.draw(series_terms(truncation))
+    t_terms = data.draw(series_terms(truncation))
+    s, t = TruncSeries2(truncation, s_terms), TruncSeries2(truncation, t_terms)
+
+    def check(result, expected):
+        assert result.terms == expected
+        assert result == TruncSeries2(truncation, expected)
+
+    for ray in (flat, rising):
+        g = geometric_series(ray, truncation)
+        expected = reference_product(s_terms, reference_geometric(ray, truncation), truncation)
+        check(s * g, expected)
+        check(g * s, expected)
+        # The sweep and the general product agree on the same factor.
+        unmarked = TruncSeries2(truncation, g.terms)
+        assert s * g == s * unmarked == unmarked * s
+    check(s * t, reference_product(s_terms, t_terms, truncation))
+    check(s + t, reference_sum(s_terms, t_terms, 1))
+    check(s - t, reference_sum(s_terms, t_terms, -1))
+
+    expected = s_terms
+    for ray in (flat, rising, rising):
+        expected = reference_product(expected, reference_geometric(ray, truncation), truncation)
+    check(RationalExpr(Poly2(s_terms), (flat, rising, rising)).expand(truncation), expected)
+
+
+def test_cached_terms_are_safe_to_fill_from_many_threads():
+    # Threads race to build the same lazily cached term map; each must see
+    # the whole map, whichever thread's copy ends up cached.
+    bound = 100
+    expected = reference_product({(0, 0): 1, (1, 0): 1}, reference_geometric((0, 1), bound), bound)
+    series = [
+        TruncSeries2.from_poly(ONE + X, bound) * geometric_series((0, 1), bound)
+        for _ in range(100)
+    ]
+    seen = []
+
+    def read():
+        for s in series:
+            seen.append(dict(s.terms) == expected)
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [True] * (8 * len(series))
 
 
 def test_geometric_series():
