@@ -4,12 +4,17 @@ prod (1 - monomial).
 
 Coefficients are plain Python integers, so partition counts never wrap
 around. A polynomial is stored as a map from exponent pairs to nonzero
-coefficients. A truncated series carries a total-degree bound T and is
-stored as triangular rows: ``rows[i][j]`` is the coefficient of a^i b^j,
-row i has T - i + 1 entries, and trailing all-zero rows are dropped, so
-equal series have equal rows. Its ``terms`` map is built from the rows on
-first read and cached. The two variables are anonymous slots; rendering
-attaches names such as ``a, b`` or ``x, y`` only at output time.
+coefficients. A product of two polynomials runs the factor with fewer
+terms, in increasing degree, over the other: a constant term starts the
+result as a copy of the other factor, each new key is built as a Monomial2
+once, and the cost is O(|small| * |big|) pair visits.
+
+A truncated series carries a total-degree bound T and is stored as
+triangular rows: ``rows[i][j]`` is the coefficient of a^i b^j, row i has
+T - i + 1 entries, and trailing all-zero rows are dropped, so equal series
+have equal rows. Its ``terms`` map is built from the rows on first read and
+cached. The two variables are anonymous slots; rendering attaches names
+such as ``a, b`` or ``x, y`` only at output time.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads. The one write after
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add, sub
@@ -93,28 +99,60 @@ def _add_terms(left: Mapping, right: Mapping, sign: int = 1) -> dict:
     return result
 
 
-def _mul_terms(left: Mapping, right: Mapping, bound: int) -> dict:
+# Builds a Monomial2 from an exponent pair in C, skipping the NamedTuple's
+# Python-level __new__; only for pairs this module computed itself.
+_monomial = partial(tuple.__new__, Monomial2)
+
+
+def _mul_terms(left: Mapping, right: Mapping, bound: int) -> dict[Monomial2, int]:
     """The term map of left * right with every term of total degree > bound
     dropped. Safe whenever only the degree-<= bound part of the product
-    matters, because all exponents are nonnegative."""
-    # Sorted by degree, the right operand's terms past the room a left term
-    # leaves under the bound are cut off together instead of one at a time.
-    right_by_degree = sorted((ja + jb, ja, jb, c2) for (ja, jb), c2 in right.items())
-    result: dict[tuple[int, int], int] = {}
-    for (ia, ib), c1 in left.items():
-        room = bound - ia - ib
-        for degree, ja, jb, c2 in right_by_degree:
-            if degree > room:
-                break
-            key = (ia + ja, ib + jb)
-            result[key] = result.get(key, 0) + c1 * c2
-    return _monomial_keys(result)
+    matters, because all exponents are nonnegative.
+
+    The operand with fewer terms drives the loop in increasing degree and
+    stops at its first term past the bound. Each of its terms adds a scaled,
+    shifted copy of the other operand's terms that stay in bound; a constant
+    term starts the result as a copy, made in C when its coefficient is 1.
+    A key is built as a Monomial2 once, when it enters the result, and a sum
+    that cancels leaves at once. The cost is O(|small| * |big|) pair visits.
+    """
+    small, big = (left, right) if len(left) <= len(right) else (right, left)
+    top = max(map(sum, big), default=-1)
+    result: dict[Monomial2, int] = {}
+    for degree, sa, sb, coeff in sorted((a + b, a, b, c) for (a, b), c in small.items()):
+        room = bound - degree
+        if room < 0:
+            break
+        if not degree:
+            # Only the first term can be constant, so the result is still empty.
+            if coeff == 1 and top <= bound:
+                result = dict(big)
+            else:
+                result = {m: coeff * c for m, c in big.items() if sum(m) <= bound}
+            continue
+        if room >= top:
+            shifted = big.items()
+        else:
+            shifted = [(m, c) for m, c in big.items() if m[0] + m[1] <= room]
+        get = result.get
+        for (ba, bb), c in shifted:
+            key = (sa + ba, sb + bb)
+            total = get(key)
+            if total is None:
+                result[_monomial(key)] = coeff * c
+            else:
+                total += coeff * c
+                if total:
+                    result[key] = total  # the existing Monomial2 key stays
+                else:
+                    del result[key]
+    return result
 
 
 def _monomial_keys(terms: dict) -> dict[Monomial2, int]:
     """A term map keyed by plain exponent pairs, rekeyed by Monomial2 with
     cancelled terms dropped."""
-    return {Monomial2(*key): coeff for key, coeff in terms.items() if coeff}
+    return {_monomial(key): coeff for key, coeff in terms.items() if coeff}
 
 
 class _TermMap:
@@ -197,7 +235,7 @@ class Poly2(_TermMap):
 
     def total_degree(self) -> int:
         """Maximum exp_a + exp_b, or -1 for the zero polynomial."""
-        return max((m.degree for m in self._terms), default=-1)
+        return max(map(sum, self._terms), default=-1)
 
     def degree_a(self) -> int:
         return max((m.exp_a for m in self._terms), default=-1)
@@ -260,13 +298,24 @@ class Poly2(_TermMap):
             result = result * self
         return result
 
-    def mul_bounded(self, other: "Poly2", bound: int) -> "Poly2":
+    def mul_bounded(self, other: Union["Poly2", int], bound: int) -> "Poly2":
         """Product with every term of total degree > bound dropped.
 
         Safe whenever only the degree-<= bound part of the result matters,
-        because all exponents here are nonnegative.
+        because all exponents here are nonnegative. ``other`` is a Poly2 or
+        an int, as for ``*``; anything else, or a bound that is not an int,
+        raises TypeError.
+
+        The factor with fewer terms drives the loop and stops at its first
+        term past the bound, a constant term copies the other factor, and
+        each result key is built once: O(|small| * |big|) pair visits.
         """
-        return Poly2._trusted(_mul_terms(self._terms, other._terms, bound))
+        coerced = self._coerce(other)
+        if coerced is None:
+            raise TypeError(f"mul_bounded takes a Poly2 or an int, not {type(other).__name__}")
+        if not isinstance(bound, int):
+            raise TypeError(f"mul_bounded takes an int bound, not {type(bound).__name__}")
+        return Poly2._trusted(_mul_terms(self._terms, coerced._terms, bound))
 
     def substitute(self, x_image: MonomialLike, y_image: MonomialLike) -> "Poly2":
         """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly."""
@@ -305,7 +354,7 @@ class Poly2(_TermMap):
         quotient: dict[Monomial2, int] = {}
         while heap:
             neg_degree, neg_a = heappop(heap)
-            top = Monomial2(-neg_a, neg_a - neg_degree)
+            top = _monomial((-neg_a, neg_a - neg_degree))
             top_coeff = remainder.pop(top, 0)
             if not top_coeff:
                 continue  # cancelled after it was pushed
@@ -317,7 +366,7 @@ class Poly2(_TermMap):
                     f"no exact quotient: coefficient {top_coeff} not divisible by {lead_coeff}"
                 )
             qa, qb = top.exp_a - lead.exp_a, top.exp_b - lead.exp_b
-            quotient[Monomial2(qa, qb)] = q
+            quotient[_monomial((qa, qb))] = q
             # The lead term of q * divisor cancels top, which is already popped.
             for da, db, dc in rest:
                 key = (qa + da, qb + db)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -173,9 +174,27 @@ def test_ring_axioms_random():
 @kernel_settings
 @given(polys, polys, bounds)
 def test_mul_bounded_matches_truncated_full_product(p, q, bound):
-    full = p * q
+    full = reference_multiply(p, q)
     kept = Poly2({m: c for m, c in full.terms.items() if m.degree <= bound})
     assert p.mul_bounded(q, bound) == kept
+
+
+def test_mul_bounded_takes_an_int_factor_like_mul():
+    assert ONE.mul_bounded(3, 5) == Poly2.constant(3) == ONE * 3
+    assert (ONE + Y**2).mul_bounded(-2, 1) == Poly2.constant(-2)
+    assert X.mul_bounded(0, 5) == Poly2.zero()
+
+
+@pytest.mark.parametrize("other", [1.5, "1", None, TruncSeries2.one(3)])
+def test_mul_bounded_rejects_a_factor_that_is_not_a_poly_or_int(other):
+    with pytest.raises(TypeError, match="Poly2 or an int"):
+        ONE.mul_bounded(other, 5)
+
+
+@pytest.mark.parametrize("bound", [5.0, "5", None])
+def test_mul_bounded_rejects_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(TypeError, match="int bound"):
+        X.mul_bounded(Y, bound)
 
 
 @kernel_settings
@@ -223,6 +242,58 @@ def reference_product(left, right, truncation):
                 key = (ia + ja, ib + jb)
                 out[key] = out.get(key, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+def reference_multiply(p, q, bound=None):
+    """The textbook product of two polynomials: every pair of terms, kept
+    when its total degree is within the bound, if one is given."""
+    return Poly2(reference_product(p.terms, q.terms, math.inf if bound is None else bound))
+
+
+# Lopsided operands, as in the products: a factor of 0-3 terms, with or
+# without a constant term, against up to 40 terms.
+exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
+nonconstant = exponents.filter(any)
+
+
+@st.composite
+def lopsided_operands(draw):
+    """(small, big). Either both are free, or small = c*u*(1 - m) and big =
+    r*(1 + m + ... + m^j), so all but the ends of each run of m cancel."""
+    if draw(st.booleans()):
+        u, m = draw(exponents), draw(nonconstant)
+        c = draw(coefficients.filter(bool))
+        small = Poly2({u: c, (u[0] + m[0], u[1] + m[1]): -c})
+        r = Poly2(draw(st.dictionaries(exponents, coefficients, max_size=5)))
+        run = Poly2({(k * m[0], k * m[1]): 1 for k in range(draw(st.integers(1, 8)))})
+        return small, reference_multiply(r, run)
+    constant = draw(st.one_of(st.none(), st.just(1), coefficients.filter(bool)))
+    size = 3 if constant is None else 2
+    terms = draw(st.dictionaries(nonconstant, coefficients, max_size=size))
+    if constant is not None:
+        terms[(0, 0)] = constant
+    big = draw(st.dictionaries(exponents, coefficients, max_size=40))
+    return Poly2(terms), Poly2(big)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), lopsided_operands())
+def test_products_match_reference_multiply(data, operands):
+    p, q = operands
+    # From below both operands' degrees to past the full product's.
+    bound = data.draw(st.integers(-1, p.total_degree() + q.total_degree() + 1))
+    full = reference_multiply(p, q)
+    kept = reference_multiply(p, q, bound)
+    checks = [(p * q, full), (q * p, full), (p.mul_bounded(q, bound), kept),
+              (q.mul_bounded(p, bound), kept)]
+    power = ONE
+    for k in range(4):
+        checks.append((p**k, power))
+        power = reference_multiply(power, p)
+    checks.append((q**2, reference_multiply(q, q)))
+    for result, expected in checks:
+        assert_valid_term_map(result)
+        assert result == expected
 
 
 def reference_geometric(ray, truncation):
