@@ -25,13 +25,9 @@ from .oracle import (
 )
 from .permstat import (
     DTooLarge,
-    ascent_set,
-    descent_count,
-    descent_set,
     djsw_recursion,
     euler_mahonian,
     eulerian,
-    major_index,
 )
 from .poset import (
     CycleDetected,
@@ -40,12 +36,8 @@ from .poset import (
     ParseError,
     Poset,
     PosetTooLarge,
-    build_antichain,
-    build_chain,
     build_diamond_poset,
-    build_q_poset,
     jordan_holder,
-    linear_sum,
     parse_poset_file,
     stanley_sigma,
 )
@@ -72,10 +64,6 @@ __all__ = [
     "NonInvertibleFactor",
     "TruncationMismatch",
     "geometric_series",
-    "descent_set",
-    "ascent_set",
-    "descent_count",
-    "major_index",
     "euler_mahonian",
     "eulerian",
     "djsw_recursion",
@@ -88,11 +76,7 @@ __all__ = [
     "ParseError",
     "NotNaturallyLabelled",
     "CycleDetected",
-    "build_chain",
-    "build_antichain",
-    "build_q_poset",
     "build_diamond_poset",
-    "linear_sum",
     "jordan_holder",
     "stanley_sigma",
     "parse_poset_file",

@@ -121,7 +121,8 @@ def _cmd_verify(args) -> int:
     elif target == "schmidt":
         report = verify.verify_schmidt(args.d, args.M, args.trunc, _lift(args, max_d, args.d))
     elif target == "stanley":
-        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed)
+        guard = _lift(args, posets.MAX_JH_SIZE, args.max_size)
+        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed, guard)
     elif target == "apr":
         report = verify.verify_apr(args.trunc)
     else:  # djsw-product

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import add
-from typing import Iterator, Sequence
 
 from .series import Monomial2, Poly2
 
@@ -36,56 +35,6 @@ _SUFFIX_LEN = 6
 
 class DTooLarge(ValueError):
     """Permutation enumeration requested beyond the factorial-size guard."""
-
-
-def _check_word(word: Sequence[int]) -> tuple[int, ...]:
-    w = tuple(word)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
-    return w
-
-
-def descent_set(word: Sequence[int]) -> set[int]:
-    """Positions j in 1..d-1 with w(j) > w(j+1).
-
-    >>> sorted(descent_set((2, 3, 1)))
-    [2]
-    >>> sorted(descent_set((3, 2, 1)))
-    [1, 2]
-    """
-    w = _check_word(word)
-    return {j for j in range(1, len(w)) if w[j - 1] > w[j]}
-
-
-def ascent_set(word: Sequence[int]) -> set[int]:
-    """Positions j in 1..d-1 with w(j) < w(j+1)."""
-    w = _check_word(word)
-    return {j for j in range(1, len(w)) if w[j - 1] < w[j]}
-
-
-def descent_count(word: Sequence[int]) -> int:
-    return len(descent_set(word))
-
-
-def major_index(word: Sequence[int]) -> int:
-    """Sum of the descent positions.
-
-    >>> major_index((3, 2, 1))
-    3
-    """
-    return sum(descent_set(word))
-
-
-def complement(word: Sequence[int]) -> tuple[int, ...]:
-    """The value-complement w(j) -> d+1-w(j); swaps descents and ascents."""
-    w = _check_word(word)
-    d = len(w)
-    return tuple(d + 1 - v for v in w)
-
-
-def permutations_lex(d: int) -> Iterator[tuple[int, ...]]:
-    """All words of {1..d} in lexicographic order."""
-    return itertools.permutations(range(1, d + 1))
 
 
 def check_enum_guard(d: int, max_d: int) -> None:

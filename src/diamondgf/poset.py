@@ -1,10 +1,11 @@
-"""Naturally labelled finite posets, diamond-shaped poset builders, linear
-extension enumeration, and the linear-extension expansion of the P-partition
+"""Naturally labelled finite posets, the diamond poset, linear extension
+enumeration, and the linear-extension expansion of the P-partition
 generating function.
 
-Natural labelling means j below k in the order implies j < k as integers,
-which every constructor here validates. Cover input may contain duplicates
-and transitively implied pairs; construction reduces them.
+Natural labelling means j below k in the order implies j < k as integers.
+One check enforces it on every cover, from code or from a poset file.
+Cover input may contain duplicates and transitively implied pairs;
+construction reduces them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ class CycleDetected(ParseError):
     """A relation from an element to itself (the only cycle natural labels allow)."""
 
 
+def _check_cover(j: int, k: int, size: int, lineno: Optional[int] = None) -> None:
+    """Refuse a cover j -> k that leaves 1..size, relates an element to
+    itself or decreases. ``lineno`` is the poset-file line it came from."""
+    for v in (j, k):
+        if not 1 <= v <= size:
+            raise ParseError(f"element {v} out of range 1..{size}", lineno)
+    if j == k:
+        raise CycleDetected(f"cover {j} {k} relates an element to itself", lineno)
+    if j > k:
+        raise NotNaturallyLabelled(
+            f"cover {j} {k} decreases; labels must increase along relations", lineno
+        )
+
+
 class Poset:
     """A partial order on {1..size} given by cover relations.
 
@@ -57,14 +72,7 @@ class Poset:
         raw: set[tuple[int, int]] = set()
         for pair in covers:
             j, k = int(pair[0]), int(pair[1])
-            if not (1 <= j <= size and 1 <= k <= size):
-                raise ValueError(f"cover ({j}, {k}) out of range 1..{size}")
-            if j == k:
-                raise CycleDetected(f"cover ({j}, {k}) relates an element to itself")
-            if j > k:
-                raise NotNaturallyLabelled(
-                    f"cover ({j}, {k}) decreases; labels must increase along relations"
-                )
+            _check_cover(j, k, size)
             raw.add((j, k))
 
         raw_lowers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
@@ -109,21 +117,6 @@ class Poset:
         """All elements strictly below k."""
         return self._pred[k]
 
-    def leq(self, j: int, k: int) -> bool:
-        return j == k or j in self._pred[k]
-
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(k for k in range(1, self.size + 1) if not self._lowers[k])
-
-    def maximal_elements(self) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.size + 1) if not self._uppers[j])
-
-    def dual(self) -> "Poset":
-        """Reverse all relations and relabel j -> size+1-j, which restores
-        natural labelling."""
-        c = self.size
-        return Poset(c, ((c + 1 - k, c + 1 - j) for j, k in self.covers))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -134,37 +127,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(size={self.size}, covers={sorted(self.covers)})"
-
-
-def build_chain(size: int) -> Poset:
-    return Poset(size, ((j, j + 1) for j in range(1, size)))
-
-
-def build_antichain(size: int) -> Poset:
-    return Poset(size)
-
-
-def build_q_poset(d: int) -> Poset:
-    """An antichain of d elements, all covered by one top element d+1."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return Poset(d + 1, ((j, d + 1) for j in range(1, d + 1)))
-
-
-def linear_sum(first: Poset, second: Poset) -> Poset:
-    """Place every element of ``first`` below every element of ``second``.
-
-    Elements of the second poset shift up by size(first); the only new
-    covers run from maximal elements of the first to minimal elements of
-    the second, which keeps the cover set reduced.
-    """
-    shift = first.size
-    covers = list(first.covers)
-    covers.extend((j + shift, k + shift) for j, k in second.covers)
-    covers.extend(
-        (m, n + shift) for m in first.maximal_elements() for n in second.minimal_elements()
-    )
-    return Poset(first.size + second.size, covers)
 
 
 @dataclass(frozen=True)
@@ -208,8 +170,9 @@ def build_diamond_poset(spec: DiamondSpec) -> tuple[Poset, tuple[str, ...]]:
     folds (an antichain) capped by the next link.
 
     Returns the poset together with the variable assignment tagging link
-    elements ``b`` and fold elements ``a``. This is the linear sum
-    chain(1) + q(d_1) + ... + q(d_M), with its covers listed directly.
+    elements ``b`` and fold elements ``a``. Every element of a block lies
+    above every element below the block, so the poset is the ordinal sum of
+    a one-element chain and the blocks; its covers are listed directly.
     """
     covers: list[tuple[int, int]] = []
     tags = [LINK_TAG]
@@ -223,10 +186,6 @@ def build_diamond_poset(spec: DiamondSpec) -> tuple[Poset, tuple[str, ...]]:
         tags.append(LINK_TAG)
         link = top
     return Poset(link, covers), tuple(tags)
-
-
-def constant_assignment(size: int, tag: str = LINK_TAG) -> tuple[str, ...]:
-    return (tag,) * size
 
 
 def validate_assignment(assignment: Sequence[str], size: int) -> tuple[str, ...]:
@@ -366,15 +325,7 @@ def parse_poset_file(text: str) -> tuple[Poset, tuple[str, ...]]:
                 raise ParseError("'cover' expects two element labels", lineno)
             j = _parse_int(tokens[1], lineno)
             k = _parse_int(tokens[2], lineno)
-            for v in (j, k):
-                if not 1 <= v <= size:
-                    raise ParseError(f"element {v} out of range 1..{size}", lineno)
-            if j == k:
-                raise CycleDetected(f"cover {j} {k} relates an element to itself", lineno)
-            if j > k:
-                raise NotNaturallyLabelled(
-                    f"cover {j} {k} decreases; labels must increase along relations", lineno
-                )
+            _check_cover(j, k, size, lineno)
             covers.append((j, k))
         elif keyword == "assign":
             if len(tokens) < 2 or tokens[1] != FOLD_TAG:

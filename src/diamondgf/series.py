@@ -227,21 +227,12 @@ class Poly2(_TermMap):
     def monomial(cls, exp_a: int, exp_b: int, coeff: int = 1) -> "Poly2":
         return cls({Monomial2(exp_a, exp_b): coeff})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def total_degree(self) -> int:
         """Maximum exp_a + exp_b, or -1 for the zero polynomial."""
         return max(map(sum, self._terms), default=-1)
-
-    def degree_a(self) -> int:
-        return max((m.exp_a for m in self._terms), default=-1)
-
-    def degree_b(self) -> int:
-        return max((m.exp_b for m in self._terms), default=-1)
 
     @staticmethod
     def _coerce(other) -> Optional["Poly2"]:
@@ -343,7 +334,7 @@ class Poly2(_TermMap):
         and the division costs O(n log n) in the n monomials the remainder
         ever holds, times the divisor's length.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         lead = max(divisor._terms, key=_grlex)
         lead_coeff = divisor._terms[lead]
@@ -380,9 +371,6 @@ class Poly2(_TermMap):
                     remainder[key] = -q * dc
                     heappush(heap, (-key[0] - key[1], -key[0]))
         return Poly2._trusted(quotient)
-
-    def evaluate(self, a_value: int, b_value: int) -> int:
-        return sum(c * a_value**m.exp_a * b_value**m.exp_b for m, c in self._terms.items())
 
     def __repr__(self) -> str:
         return f"Poly2({self.text()})"

@@ -192,19 +192,26 @@ def verify_schmidt(
 
 
 @_timed
-def verify_stanley(count: int, max_size: int, truncation: int, seed: int) -> VerifyReport:
+def verify_stanley(
+    count: int, max_size: int, truncation: int, seed: int, guard: int = posets.MAX_JH_SIZE
+) -> VerifyReport:
     """Stanley's formula against direct enumeration on a seeded corpus of
-    random posets; stops at the first poset that disagrees."""
+    random posets; stops at the first poset that disagrees. Stanley's route
+    walks every linear extension, so ``max_size`` may not pass ``guard``."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
+    if max_size > guard:
+        raise posets.PosetTooLarge(
+            f"max_size={max_size} exceeds the linear-extension guard {guard}"
+        )
     report = VerifyReport(
         command="verify stanley",
         parameters={"count": count, "max_size": max_size, "trunc": truncation, "seed": seed},
     )
     for index, (p, tags) in enumerate(oracle.random_poset_corpus(count, seed, max_size)):
-        lhs = posets.stanley_sigma(p, tags, truncation, max_size=max(posets.MAX_JH_SIZE, max_size))
+        lhs = posets.stanley_sigma(p, tags, truncation, guard)
         rhs = oracle.enumerate_ppartitions(p, tags, truncation)
         if not report.compare("stanley", lhs, "enumeration", rhs, poset_index=index):
             report.mismatch["covers"] = sorted(list(pair) for pair in p.covers)

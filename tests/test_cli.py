@@ -11,6 +11,7 @@ import pytest
 import diamondgf
 from diamondgf import cli, diamonds, oracle, permstat
 from diamondgf.cli import main
+from diamondgf.poset import PosetTooLarge
 from diamondgf.series import Monomial2, Poly2, TruncSeries2
 from diamondgf.verify import VerifyReport, verify_stanley
 
@@ -353,6 +354,26 @@ def test_verify_stanley_checks_its_bounds():
         verify_stanley(0, 5, 4, 1)
     with pytest.raises(ValueError, match="max_size"):
         verify_stanley(3, 0, 4, 1)
+    with pytest.raises(PosetTooLarge, match="guard 12"):
+        verify_stanley(3, 13, 4, 1)
+    assert verify_stanley(3, 13, 4, 1, guard=13).passed
+
+
+def test_verify_stanley_max_size_keeps_the_extension_guard(capsys):
+    # Stanley's route walks every linear extension of posets of up to
+    # --max-size elements; past the guard, the size is refused before any
+    # poset is drawn, not after an unbounded walk.
+    for seed in ("1", "2", "3"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", "stanley", "--count", "3", "--max-size", "40",
+                             "--trunc", "4", "--seed", seed)
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "error: max_size=40 exceeds the linear-extension guard 12\n"
+    code, out, _ = run(capsys, "verify", "stanley", "--count", "3", "--max-size", "13",
+                       "--trunc", "4", "--seed", "1", "--force")
+    assert code == 0
+    assert "checked 3 random posets (size <= 13, truncation 4, seed 1)" in out
 
 
 def _stack_depth() -> int:

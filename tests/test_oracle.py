@@ -14,10 +14,6 @@ from diamondgf.oracle import (
 from diamondgf.poset import (
     DiamondSpec,
     Poset,
-    build_antichain,
-    build_chain,
-    build_q_poset,
-    constant_assignment,
     jordan_holder,
     stanley_sigma,
 )
@@ -26,18 +22,18 @@ from diamondgf.series import Poly2, RationalExpr, TruncSeries2
 
 def test_ppartitions_chain_pair():
     # pairs m1 <= m2 with m1 + m2 <= 2: (0,0), (0,1), (0,2), (1,1)
-    s = enumerate_ppartitions(build_chain(2), constant_assignment(2), 2)
+    s = enumerate_ppartitions(Poset(2, [(1, 2)]), ("b",) * 2, 2)
     assert s == TruncSeries2(2, {(0, 0): 1, (0, 1): 1, (0, 2): 2})
 
 
 def test_ppartitions_truncation_zero():
-    for p in (build_chain(3), build_antichain(4)):
-        s = enumerate_ppartitions(p, constant_assignment(p.size), 0)
+    for p in (Poset(3, [(1, 2), (2, 3)]), Poset(4)):
+        s = enumerate_ppartitions(p, ("b",) * p.size, 0)
         assert s == TruncSeries2.one(0)
 
 
 def test_ppartitions_antichain():
-    s = enumerate_ppartitions(build_antichain(2), constant_assignment(2), 3)
+    s = enumerate_ppartitions(Poset(2), ("b",) * 2, 3)
     assert s == TruncSeries2(3, {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4})
 
 
@@ -83,7 +79,7 @@ def test_oracle_outputs_count_objects():
     # nonnegative coefficients, constant term 1 (the empty assignment)
     bivariate = [
         enumerate_diamonds(DiamondSpec((2, 1)), 5),
-        enumerate_ppartitions(build_chain(4), constant_assignment(4), 5),
+        enumerate_ppartitions(Poset(4, [(1, 2), (2, 3), (3, 4)]), ("b",) * 4, 5),
     ]
     for s in bivariate:
         assert s.coefficient(0, 0) == 1
@@ -178,10 +174,10 @@ def test_infinite_oracle_matches_a_long_finite_diamond(d, truncation):
 @pytest.mark.parametrize(
     "search",
     [
-        lambda: enumerate_ppartitions(build_chain(3), constant_assignment(3), 4),
+        lambda: enumerate_ppartitions(Poset(3, [(1, 2), (2, 3)]), ("b",) * 3, 4),
         lambda: enumerate_infinite_univariate(2, 6),
         lambda: schmidt_oracle(2, 3, 6),
-        lambda: jordan_holder(build_q_poset(3)),
+        lambda: jordan_holder(Poset(4, [(1, 4), (2, 4), (3, 4)])),
     ],
     ids=["ppartitions", "infinite", "schmidt", "jordan_holder"],
 )

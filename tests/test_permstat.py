@@ -1,72 +1,11 @@
 import math
-from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from diamondgf.permstat import (
-    DTooLarge,
-    ascent_set,
-    complement,
-    descent_count,
-    descent_set,
-    djsw_recursion,
-    euler_mahonian,
-    eulerian,
-    major_index,
-    permutations_lex,
-)
+from diamondgf.permstat import DTooLarge, djsw_recursion, euler_mahonian, eulerian
 from diamondgf.series import Monomial2, Poly2
 from diamondgf.verify import verify_theorem1
-
-
-def test_descent_set_examples():
-    assert descent_set((1, 2, 3)) == set()
-    assert descent_count((1, 2, 3)) == 0 and major_index((1, 2, 3)) == 0
-    assert descent_set((3, 2, 1)) == {1, 2}
-    assert descent_count((3, 2, 1)) == 2 and major_index((3, 2, 1)) == 3
-    assert descent_set((2, 3, 1)) == {2}
-    assert major_index((2, 3, 1)) == 2
-
-
-def test_descent_set_rejects_non_permutations():
-    with pytest.raises(ValueError):
-        descent_set((1, 1, 2))
-    with pytest.raises(ValueError):
-        descent_set((0, 1))
-
-
-def test_descents_and_ascents_partition_positions():
-    for d in range(1, 6):
-        for w in permutations(range(1, d + 1)):
-            des, asc = descent_set(w), ascent_set(w)
-            assert des & asc == set()
-            assert des | asc == set(range(1, d))
-
-
-def test_complement_swaps_descents_and_ascents():
-    for d in range(1, 6):
-        for w in permutations(range(1, d + 1)):
-            assert descent_set(complement(w)) == ascent_set(w)
-
-
-def test_descent_and_ascent_multisets_agree():
-    # Sum over words of the formal product of z_j over Des equals the same
-    # over Asc: the multisets of descent sets and ascent sets coincide.
-    for d in range(1, 6):
-        des_counter = Counter(
-            frozenset(descent_set(w)) for w in permutations(range(1, d + 1))
-        )
-        asc_counter = Counter(
-            frozenset(ascent_set(w)) for w in permutations(range(1, d + 1))
-        )
-        assert des_counter == asc_counter
-
-
-def test_permutations_lex_order():
-    words = list(permutations_lex(3))
-    assert words == sorted(words)
-    assert len(words) == 6
 
 
 def test_euler_mahonian_small_values():
@@ -100,7 +39,7 @@ def test_euler_mahonian_matches_a_word_by_word_scan():
 def test_euler_mahonian_counts_all_permutations():
     # Each word adds one to exactly one coefficient.
     for d in range(1, 10):
-        assert euler_mahonian(d).evaluate(1, 1) == math.factorial(d)
+        assert sum(euler_mahonian(d).terms.values()) == math.factorial(d)
 
 
 def test_euler_mahonian_past_the_guard_equals_the_recursion():
@@ -110,14 +49,14 @@ def test_euler_mahonian_past_the_guard_equals_the_recursion():
 def test_euler_mahonian_degrees():
     for d in range(1, 7):
         p = euler_mahonian(d)
-        assert p.degree_a() == d - 1
-        assert p.degree_b() == d * (d - 1) // 2
+        assert max(m.exp_a for m in p.terms) == d - 1
+        assert max(m.exp_b for m in p.terms) == d * (d - 1) // 2
 
 
 def test_eulerian_values():
     assert eulerian(1) == Poly2.one()
     assert eulerian(3) == Poly2({(0, 0): 1, (1, 0): 4, (2, 0): 1})
-    assert eulerian(4).evaluate(1, 1) == 24
+    assert sum(eulerian(4).terms.values()) == 24
 
 
 def test_eulerian_palindromic():
@@ -132,7 +71,7 @@ def test_enumeration_guard():
         euler_mahonian(10)
     with pytest.raises(DTooLarge):
         euler_mahonian(4, max_d=3)
-    assert euler_mahonian(4, max_d=4).evaluate(1, 1) == 24
+    assert sum(euler_mahonian(4, max_d=4).terms.values()) == 24
     with pytest.raises(ValueError):
         euler_mahonian(0)
 
@@ -146,7 +85,7 @@ def test_recursion_small_values():
 def test_recursion_has_no_guard():
     # The recursion is polynomial time, so it runs past the enumeration guard.
     p = djsw_recursion(11)
-    assert p.evaluate(1, 1) == math.factorial(11)
+    assert sum(p.terms.values()) == math.factorial(11)
 
 
 def test_recursion_invariants_without_enumeration():
@@ -165,7 +104,7 @@ def test_recursion_invariants_without_enumeration():
         if d > 12 and d not in (16, 20, 25):
             continue  # keeps the test well under a second
         f = djsw_recursion(d)
-        assert f.evaluate(1, 1) == math.factorial(d)
+        assert sum(f.terms.values()) == math.factorial(d)
         assert f.substitute(Monomial2(0, 0), Monomial2(0, 1)) == q_factorial
         descents = f.substitute(Monomial2(1, 0), Monomial2(0, 0))
         assert descents == Poly2({(k, 0): a for k, a in enumerate(eulerian_numbers)})

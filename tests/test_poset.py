@@ -10,32 +10,43 @@ from diamondgf.poset import (
     ParseError,
     Poset,
     PosetTooLarge,
-    build_antichain,
-    build_chain,
     build_diamond_poset,
-    build_q_poset,
-    constant_assignment,
     jordan_holder,
-    linear_sum,
     parse_poset_file,
     stanley_sigma,
 )
 from diamondgf.series import Poly2, RationalExpr, TruncSeries2
 
 
-def test_chain_and_antichain():
-    assert build_chain(1) == build_antichain(1)
-    assert build_chain(3).covers == frozenset({(1, 2), (2, 3)})
-    assert build_antichain(2).covers == frozenset()
+CHAIN2 = Poset(2, [(1, 2)])
+CHAIN3 = Poset(3, [(1, 2), (2, 3)])
+ANTICHAIN2 = Poset(2)
+Q2 = Poset(3, [(1, 3), (2, 3)])  # two elements under one top
+
+
+def _linear_sum(first, second):
+    """Every element of ``first`` below every element of ``second``: the
+    maximal elements of the first are covered by the minimal ones of the
+    second, shifted up by the first's size."""
+    shift = first.size
+    tops = [j for j in range(1, first.size + 1) if not first.upper_covers(j)]
+    bottoms = [k for k in range(1, second.size + 1) if not second.lower_covers(k)]
+    covers = [*first.covers, *((j + shift, k + shift) for j, k in second.covers)]
+    covers += [(j, k + shift) for j in tops for k in bottoms]
+    return Poset(first.size + second.size, covers)
+
+
+def _dual(p):
+    """Reverse every relation; relabelling j -> size + 1 - j keeps it natural."""
+    return Poset(p.size, [(p.size + 1 - k, p.size + 1 - j) for j, k in p.covers])
 
 
 def test_q_poset():
-    assert build_q_poset(1) == build_chain(2)
-    assert build_q_poset(2).covers == frozenset({(1, 3), (2, 3)})
-    q3 = build_q_poset(3)
-    assert q3.covers == frozenset({(1, 4), (2, 4), (3, 4)})
-    assert q3.minimal_elements() == (1, 2, 3)
-    assert q3.maximal_elements() == (4,)
+    # d elements under one top: the top's lower covers, and one upper cover each
+    q3 = Poset(4, [(1, 4), (2, 4), (3, 4)])
+    assert q3.lower_covers(4) == (1, 2, 3) and q3.upper_covers(4) == ()
+    assert all(q3.upper_covers(j) == (4,) and q3.lower_covers(j) == () for j in (1, 2, 3))
+    assert Q2.predecessors(3) == frozenset({1, 2})
 
 
 def test_poset_validation():
@@ -49,31 +60,45 @@ def test_poset_validation():
         Poset(0)
 
 
+@pytest.mark.parametrize(
+    "cover, error, message",
+    [
+        ((1, 3), ParseError, "element 3 out of range 1..2"),
+        ((0, 2), ParseError, "element 0 out of range 1..2"),
+        ((2, 2), CycleDetected, "cover 2 2 relates an element to itself"),
+        ((2, 1), NotNaturallyLabelled, "cover 2 1 decreases; labels must increase along relations"),
+    ],
+    ids=["above-range", "below-range", "self-cover", "decreasing"],
+)
+def test_poset_and_parser_check_covers_alike(cover, error, message):
+    # One validator serves both: the parser adds the line number, Poset does not.
+    with pytest.raises(error) as built:
+        Poset(2, [cover])
+    assert str(built.value) == message and built.value.lineno is None
+    with pytest.raises(error) as parsed:
+        parse_poset_file("elements 2\ncover {} {}\n".format(*cover))
+    assert str(parsed.value) == f"line 2: {message}" and parsed.value.lineno == 2
+
+
 def test_transitive_reduction():
     p = Poset(3, [(1, 2), (2, 3), (1, 3)])
     assert p.covers == frozenset({(1, 2), (2, 3)})
-    assert p.leq(1, 3)
     assert p.predecessors(3) == frozenset({1, 2})
 
 
 def test_linear_sum_examples():
-    singleton = build_chain(1)
-    assert linear_sum(singleton, singleton) == build_chain(2)
-    assert linear_sum(build_chain(2), build_chain(2)) == build_chain(4)
-    diamond = linear_sum(singleton, build_q_poset(2))
+    # Pins the reference that build_diamond_poset is compared against below.
+    assert _linear_sum(Poset(1), Poset(1)) == CHAIN2
+    assert _linear_sum(CHAIN2, CHAIN2) == Poset(4, [(1, 2), (2, 3), (3, 4)])
+    diamond = _linear_sum(Poset(1), Q2)
     assert diamond.covers == frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
 
 
-def test_linear_sum_associative():
-    a, b, c = build_antichain(2), build_q_poset(2), build_chain(2)
-    assert linear_sum(linear_sum(a, b), c) == linear_sum(a, linear_sum(b, c))
-
-
 def test_linear_sum_extension_counts_multiply():
-    cases = [build_chain(2), build_antichain(2), build_q_poset(2)]
+    cases = [CHAIN2, ANTICHAIN2, Q2]
     for first in cases:
         for second in cases:
-            combined = linear_sum(first, second)
+            combined = _linear_sum(first, second)
             assert len(jordan_holder(combined)) == len(jordan_holder(first)) * len(
                 jordan_holder(second)
             )
@@ -97,7 +122,7 @@ def test_diamond_spec():
 
 def test_build_diamond_poset():
     p, tags = build_diamond_poset(DiamondSpec.uniform(1, 1))
-    assert p == build_chain(3)
+    assert p == CHAIN3
     assert tags == ("b", "a", "b")
 
     p, tags = build_diamond_poset(DiamondSpec.uniform(2, 1))
@@ -112,9 +137,10 @@ def test_build_diamond_poset():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
 def test_build_diamond_poset_is_the_linear_sum_of_blocks(folds):
-    reference = build_chain(1)
+    reference = Poset(1)
     for d in folds:
-        reference = linear_sum(reference, build_q_poset(d))
+        block = Poset(d + 1, [(j, d + 1) for j in range(1, d + 1)])
+        reference = _linear_sum(reference, block)
     p, _ = build_diamond_poset(DiamondSpec(folds))
     assert p == reference
     for k in range(1, p.size + 1):
@@ -123,14 +149,14 @@ def test_build_diamond_poset_is_the_linear_sum_of_blocks(folds):
 
 
 def test_jordan_holder_examples():
-    assert jordan_holder(build_chain(2)) == [(1, 2)]
-    assert jordan_holder(build_antichain(2)) == [(1, 2), (2, 1)]
+    assert jordan_holder(CHAIN2) == [(1, 2)]
+    assert jordan_holder(ANTICHAIN2) == [(1, 2), (2, 1)]
     diamond, _ = build_diamond_poset(DiamondSpec.uniform(2, 1))
     assert jordan_holder(diamond) == [(1, 2, 3, 4), (1, 3, 2, 4)]
 
 
 def test_jordan_holder_lex_order_and_counts():
-    words = jordan_holder(build_antichain(3))
+    words = jordan_holder(Poset(3))
     assert words == sorted(words)
     assert len(words) == 6
     for d in (1, 2, 3):
@@ -141,7 +167,7 @@ def test_jordan_holder_lex_order_and_counts():
 
 
 def test_jordan_holder_guard():
-    big = build_chain(13)
+    big = Poset(13, [(j, j + 1) for j in range(1, 13)])
     with pytest.raises(PosetTooLarge):
         jordan_holder(big)
     assert len(jordan_holder(big, max_size=13)) == 1
@@ -149,14 +175,14 @@ def test_jordan_holder_guard():
 
 def test_stanley_sigma_chain():
     # unique extension, no descents: 1/((1-b)(1-b^2)(1-b^3))
-    s = stanley_sigma(build_chain(3), constant_assignment(3), 4)
+    s = stanley_sigma(CHAIN3, ("b",) * 3, 4)
     assert s == TruncSeries2(
         4, {(0, 0): 1, (0, 1): 1, (0, 2): 2, (0, 3): 3, (0, 4): 4}
     )
 
 
 def test_stanley_sigma_antichain():
-    s = stanley_sigma(build_antichain(2), constant_assignment(2), 3)
+    s = stanley_sigma(ANTICHAIN2, ("b",) * 2, 3)
     assert s == TruncSeries2(3, {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4})
 
 
@@ -174,29 +200,29 @@ def test_stanley_sigma_single_diamond_block():
 
 def test_stanley_sigma_validates_assignment():
     with pytest.raises(ValueError):
-        stanley_sigma(build_chain(2), ("a",), 3)
+        stanley_sigma(CHAIN2, ("a",), 3)
     with pytest.raises(ValueError):
-        stanley_sigma(build_chain(2), ("a", "q"), 3)
+        stanley_sigma(CHAIN2, ("a", "q"), 3)
 
 
 def test_uniform_diamond_self_dual():
     for d in (1, 2, 3):
         for length in (1, 2, 3):
             p, tags = build_diamond_poset(DiamondSpec.uniform(d, length))
-            assert p.dual() == p
+            assert _dual(p) == p
             assert tags == tags[::-1]
 
 
 def test_multifold_dual_reverses_fold_sequence():
     p12, _ = build_diamond_poset(DiamondSpec((1, 2)))
     p21, _ = build_diamond_poset(DiamondSpec((2, 1)))
-    assert p12.dual() == p21
+    assert _dual(p12) == p21
     assert p12 != p21
 
 
 def test_parse_chain_file():
     p, tags = parse_poset_file("elements 3\ncover 1 2\ncover 2 3\n")
-    assert p == build_chain(3)
+    assert p == CHAIN3
     assert tags == ("b", "b", "b")
 
 
