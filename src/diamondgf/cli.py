@@ -2,13 +2,15 @@
 pass/fail verification reports from ``diamondgf.verify``.
 
 Exit codes: 0 computed/verified, 1 mathematical mismatch, 2 usage or parse
-error (including guard violations without --force).
+error (including guard violations without --force), 141 (128 + SIGPIPE)
+when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,6 +20,7 @@ from . import diamonds, oracle, permstat, poset as posets, series, verify
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 def _int_at_least(minimum: int):
@@ -283,7 +286,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, which is no mismatch. Point stdout at
+        # devnull so the flush at interpreter exit has nothing to complain of.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

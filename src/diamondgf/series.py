@@ -149,6 +149,38 @@ def _mul_terms(left: Mapping, right: Mapping, bound: int) -> dict[Monomial2, int
     return result
 
 
+def _divide_along_ray(terms: Mapping, alpha: int, beta: int) -> Optional[dict[Monomial2, int]]:
+    """The term map of terms / (1 - a^alpha b^beta), with alpha + beta > 0,
+    or None when that quotient is not a polynomial.
+
+    With m = (alpha, beta), a term (a, b) is step k = a // alpha (b // beta
+    when alpha is 0) of the chain base + j*m through it; the base is only a
+    key and may have a negative exponent. Along a chain the quotient at
+    step j is the sum of the coefficients at steps i <= j, so it is
+    constant from one term to the next, and it must be 0 from the last one
+    on. The cost is O(n log n) in the n terms plus one step per quotient
+    term.
+    """
+    chains: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (a, b), coeff in terms.items():
+        k = a // alpha if alpha else b // beta
+        chains.setdefault((a - k * alpha, b - k * beta), []).append((k, coeff))
+    quotient: dict[Monomial2, int] = {}
+    for (base_a, base_b), steps in chains.items():
+        steps.sort()
+        total = 0
+        since = 0
+        for k, coeff in steps:
+            if total:
+                for j in range(since, k):
+                    quotient[_monomial((base_a + j * alpha, base_b + j * beta))] = total
+            total += coeff
+            since = k
+        if total:
+            return None
+    return quotient
+
+
 def _monomial_keys(terms: dict) -> dict[Monomial2, int]:
     """A term map keyed by plain exponent pairs, rekeyed by Monomial2 with
     cancelled terms dropped."""
@@ -333,11 +365,23 @@ class Poly2(_TermMap):
         lies below the term just cleared, so the order never goes back up,
         and the division costs O(n log n) in the n monomials the remainder
         ever holds, times the divisor's length.
+
+        A divisor of exactly 1 - m, for a monomial m of positive degree,
+        takes the ray path first: q = self / (1 - m) has q[s] = self[s] +
+        q[s - m], so along each chain p, p + m, p + 2m, ... of the
+        dividend's terms the quotient is the running sum of their
+        coefficients. The quotient is a polynomial iff every chain sums to
+        0; when one does not, the long division above runs instead and
+        raises its usual NonExactDivision.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         lead = max(divisor._terms, key=_grlex)
         lead_coeff = divisor._terms[lead]
+        if len(divisor._terms) == 2 and lead_coeff == -1 and divisor._terms.get((0, 0)) == 1:
+            quotient = _divide_along_ray(self._terms, *lead)
+            if quotient is not None:
+                return Poly2._trusted(quotient)
         rest = [(da, db, dc) for (da, db), dc in divisor._terms.items() if (da, db) != lead]
         remainder: dict[tuple[int, int], int] = dict(self._terms)
         heap = [(-a - b, -a) for a, b in remainder]

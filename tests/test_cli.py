@@ -456,3 +456,19 @@ def test_module_runs_from_a_checkout():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.stdout.strip() == "False", done.stderr
+
+
+def test_a_closed_pipe_exits_141_with_nothing_on_stderr():
+    # The read end is closed before the child starts, so its first write
+    # fails: that is the reader's choice, not a mismatch, and no traceback.
+    src = str(Path(diamondgf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "diamondgf", "em", "--d", "9"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == cli.EXIT_BROKEN_PIPE == 141

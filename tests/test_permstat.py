@@ -76,6 +76,26 @@ def test_enumeration_guard():
         euler_mahonian(0)
 
 
+def test_the_guard_holds_after_a_lifted_call_enumerated_past_it():
+    # The memo is keyed by d alone; the guard is checked on every call.
+    assert sum(euler_mahonian(10, max_d=10).terms.values()) == math.factorial(10)
+    with pytest.raises(DTooLarge):
+        euler_mahonian(10)
+
+
+def test_each_d_is_enumerated_once_and_shared():
+    first = euler_mahonian(8)
+    assert euler_mahonian(8) is first
+    assert first == _euler_mahonian_word_by_word(8)
+
+
+def test_the_recursion_runs_afresh_on_every_call():
+    # verify theorem1 compares the enumeration with a recurrence that has
+    # just run, never with a stored result.
+    assert djsw_recursion(6) is not djsw_recursion(6)
+    assert djsw_recursion(6) == djsw_recursion(6)
+
+
 def test_recursion_small_values():
     assert djsw_recursion(1) == Poly2.one()
     assert djsw_recursion(2) == Poly2({(0, 0): 1, (1, 1): 1})

@@ -14,6 +14,7 @@ from diamondgf.series import (
     RationalExpr,
     TruncationMismatch,
     TruncSeries2,
+    _divide_along_ray,
     coeffs_json,
     coeffs_text,
     geometric_series,
@@ -159,6 +160,38 @@ def test_divide_exact_matches_reference_division(p, q, r):
         assert str(info.value) == str(exc)
     else:
         assert dividend.divide_exact(q) == expected
+
+
+# A ray m = a^alpha b^beta along b alone, along a alone, or along both.
+rays = st.one_of(
+    st.tuples(st.just(0), st.integers(1, 4)),
+    st.tuples(st.integers(1, 4), st.just(0)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@kernel_settings
+@given(polys, rays, polys)
+def test_division_by_one_minus_a_ray_matches_reference_division(p, ray, r):
+    # 1 - m takes the running-sum path; -(1 - m) and 1 + m, one sign away
+    # from it, take the long division. All must agree with the reference on
+    # the quotient, or on the failure and its message.
+    one_minus_m = ONE - Poly2.monomial(*ray)
+    dividend = p * one_minus_m + r
+    for divisor in (one_minus_m, -one_minus_m, ONE + Poly2.monomial(*ray)):
+        try:
+            expected = reference_divide(dividend, divisor)
+        except NonExactDivision as exc:
+            with pytest.raises(NonExactDivision) as info:
+                dividend.divide_exact(divisor)
+            assert str(info.value) == str(exc)
+        else:
+            quotient = dividend.divide_exact(divisor)
+            assert quotient == expected
+            assert_valid_term_map(quotient)
+    # An exact quotient comes from the running sums, not from the fallback.
+    if not r:
+        assert _divide_along_ray(dividend.terms, *ray) == p.terms
 
 
 def test_ring_axioms_random():
