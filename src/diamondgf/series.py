@@ -1,35 +1,31 @@
-"""Exact arithmetic in two formal variables: sparse polynomials, truncated
-power series, and rational expressions with denominators of the shape
+"""Exact arithmetic in two formal variables: polynomials, truncated power
+series, and rational expressions with denominators of the shape
 prod (1 - monomial).
 
 Coefficients are plain Python integers, so partition counts never wrap
-around. A polynomial is stored as a map from exponent pairs to nonzero
-coefficients. A product of two polynomials runs the factor with fewer
-terms, in increasing degree, over the other: a constant term starts the
-result as a copy of the other factor, each new key is built as a Monomial2
-once, and the cost is O(|small| * |big|) pair visits.
+around. Both kinds of value are stored as rows: ``rows[i][j]`` is the
+coefficient of a^i b^j. A polynomial's row ends at its last nonzero entry;
+a series with total-degree bound T has row i of T - i + 1 entries. Neither
+keeps a trailing all-zero row, so equal values have equal rows. The
+``terms`` map is built from the rows on first read and cached. The two
+variables are anonymous slots; names such as ``a, b`` or ``x, y`` are
+attached only at output time.
 
-A truncated series carries a total-degree bound T and is stored as
-triangular rows: ``rows[i][j]`` is the coefficient of a^i b^j, row i has
-T - i + 1 entries, and trailing all-zero rows are dropped, so equal series
-have equal rows. Its ``terms`` map is built from the rows on first read and
-cached. The two variables are anonymous slots; rendering attaches names
-such as ``a, b`` or ``x, y`` only at output time.
-
-All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads. The one write after
-construction, filling a series' cached ``terms``, is idempotent: threads
-that race to fill it store equal maps.
+Values are immutable after construction and operations are pure, so they
+are safe to share across threads, and values may share rows: no kernel
+writes to a row it did not create. The only later writes, filling cached
+``terms`` or a geometric series' rows, are idempotent.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, compress, count, repeat, zip_longest
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -59,8 +55,13 @@ class Monomial2(NamedTuple):
 MonomialLike = Union[Monomial2, Sequence[int]]
 
 
+# Builds a Monomial2 from an exponent pair in C, skipping the NamedTuple's
+# Python-level __new__.
+_monomial = partial(tuple.__new__, Monomial2)
+
+
 def _as_monomial(mono: MonomialLike) -> Monomial2:
-    m = Monomial2(int(mono[0]), int(mono[1]))
+    m = _monomial((int(mono[0]), int(mono[1])))
     if m.exp_a < 0 or m.exp_b < 0:
         raise ValueError(f"negative exponent in monomial {m}")
     return m
@@ -87,116 +88,209 @@ def _collect(items: Iterable[tuple[MonomialLike, int]]) -> dict[Monomial2, int]:
     return acc
 
 
-def _add_terms(left: Mapping, right: Mapping, sign: int = 1) -> dict:
-    """The term map of left + sign * right; cancelled terms drop."""
-    result = dict(left)
-    for mono, coeff in right.items():
-        total = result.get(mono, 0) + sign * coeff
-        if total:
-            result[mono] = total
-        else:
-            del result[mono]
-    return result
+Rows = list[list[int]]  # rows[i][j] is the coefficient of a^i b^j
+_UNBOUNDED = sys.maxsize // 2  # beyond any degree: exponents index lists
 
 
-# Builds a Monomial2 from an exponent pair in C, skipping the NamedTuple's
-# Python-level __new__; only for pairs this module computed itself.
-_monomial = partial(tuple.__new__, Monomial2)
+def _trimmed(rows: Rows) -> Rows:  # drops trailing all-zero rows in place
+    while rows and not any(rows[-1]):
+        rows.pop()
+    return rows
 
 
-def _mul_terms(left: Mapping, right: Mapping, bound: int) -> dict[Monomial2, int]:
-    """The term map of left * right with every term of total degree > bound
-    dropped. Safe whenever only the degree-<= bound part of the product
-    matters, because all exponents are nonnegative.
+def _padded(rows: Rows, truncation: int) -> Rows:
+    """Extend each row i in place to T - i + 1 entries, then trim."""
+    for i, row in enumerate(rows):
+        row += [0] * (truncation - i + 1 - len(row))
+    return _trimmed(rows)
 
-    The operand with fewer terms drives the loop in increasing degree and
-    stops at its first term past the bound. Each of its terms adds a scaled,
-    shifted copy of the other operand's terms that stay in bound; a constant
-    term starts the result as a copy, made in C when its coefficient is 1.
-    A key is built as a Monomial2 once, when it enters the result, and a sum
-    that cancels leaves at once. The cost is O(|small| * |big|) pair visits.
-    """
-    small, big = (left, right) if len(left) <= len(right) else (right, left)
-    top = max(map(sum, big), default=-1)
-    result: dict[Monomial2, int] = {}
-    for degree, sa, sb, coeff in sorted((a + b, a, b, c) for (a, b), c in small.items()):
-        room = bound - degree
-        if room < 0:
-            break
-        if not degree:
-            # Only the first term can be constant, so the result is still empty.
-            if coeff == 1 and top <= bound:
-                result = dict(big)
-            else:
-                result = {m: coeff * c for m, c in big.items() if sum(m) <= bound}
+
+def _rows_from_terms(terms: Iterable[tuple[tuple[int, int], int]]) -> Rows:
+    """Rows holding the sum of the terms, which may end in zeros."""
+    rows: Rows = []
+    for (i, j), coeff in terms:
+        if i >= len(rows):
+            rows += [[] for _ in range(i + 1 - len(rows))]
+        row = rows[i]
+        if j >= len(row):
+            row += [0] * (j + 1 - len(row))
+        row[j] += coeff
+    return rows
+
+
+def _term_count(rows: Rows) -> int:
+    return sum(map(len, rows)) - sum(map(list.count, rows, repeat(0)))
+
+
+def _clipped(rows: Rows, bound: int) -> Rows:
+    """Copies of rows[:bound + 1], row t cut after column bound - t."""
+    return [row[:stop] for row, stop in zip(rows, range(bound + 1, 0, -1))]
+
+
+def _row_product(left: Rows, right: Rows, bound: int) -> Rows:
+    """The rows, which may end in zeros, of left * right without terms of
+    total degree > bound. The operand whose terms times the other's rows is
+    smaller drives: its constant term starts the result as a scaled copy of
+    the other's rows, and each other term c a^i b^j adds c times row k of the
+    other to result row i + k from column j on, one slice add clipped at the
+    bound, stopping at the first row where column j is past the bound."""
+    if _term_count(left) * (len(right) + 1) > _term_count(right) * (len(left) + 1):
+        left, right = right, left
+    height = min(len(left) + len(right) - 1, bound + 1)
+    if not (left and right) or height <= 0:
+        return []
+    const = left[0][0] if left[0] else 0
+    if not const:
+        out = []
+    elif bound == _UNBOUNDED:
+        out = list(map(list.copy, right))
+    else:
+        out = _clipped(right, bound)
+    if const and const != 1:
+        out = [list(map(mul, repeat(const), row)) for row in out]
+    for _ in range(height - len(out)):
+        out.append([])
+    i = -1
+    for row in left[:height]:
+        i += 1
+        if not row:
             continue
-        if room >= top:
-            shifted = big.items()
-        else:
-            shifted = [(m, c) for m, c in big.items() if m[0] + m[1] <= room]
-        get = result.get
-        for (ba, bb), c in shifted:
-            key = (sa + ba, sb + bb)
-            total = get(key)
-            if total is None:
-                result[_monomial(key)] = coeff * c
-            else:
-                total += coeff * c
-                if total:
-                    result[key] = total  # the existing Monomial2 key stays
+        row = row[:bound - i + 1]
+        # A long row's nonzero entries are found in C, so it costs its terms.
+        terms = zip(compress(count(), row), filter(None, row)) if len(row) > 16 else enumerate(row)
+        for j, coeff in terms:
+            if not coeff or not i + j:
+                continue  # a zero, or the constant term already copied
+            stop = bound - i + 1  # row i + k holds columns below stop - k
+            t = i
+            for source in right:
+                if j >= stop:
+                    break
+                target = out[t]
+                t += 1
+                end = j + len(source)
+                if end > stop:
+                    end = stop
+                stop -= 1
+                if len(target) <= j:  # nothing from column j on yet: append
+                    target += [0] * (j - len(target))
+                    target += source[:end - j] if coeff == 1 else map(mul, repeat(coeff), source[:end - j])
+                    continue
+                if len(target) < end:
+                    target += [0] * (end - len(target))
+                if coeff == 1:
+                    target[j:end] = map(add, target[j:end], source)
+                elif coeff == -1:
+                    target[j:end] = map(sub, target[j:end], source)
                 else:
-                    del result[key]
-    return result
+                    target[j:end] = map(add, target[j:end], map(mul, repeat(coeff), source))
+    return out
 
 
-def _divide_along_ray(terms: Mapping, alpha: int, beta: int) -> Optional[dict[Monomial2, int]]:
-    """The term map of terms / (1 - a^alpha b^beta), with alpha + beta > 0,
-    or None when that quotient is not a polynomial.
+def _row_sum(left: Rows, right: Rows, sign: int) -> Rows:
+    """left + sign * right, row by row; the rows may differ in length, and
+    the result may end in zeros."""
+    op = add if sign == 1 else sub
+    out = []
+    for a, b in zip_longest(left, right, fillvalue=()):
+        if len(a) == len(b):
+            out.append(list(map(op, a, b)))
+        elif not b:
+            out.append(a[:])
+        elif not a:
+            out.append(b[:] if sign == 1 else list(map(neg, b)))
+        else:
+            row = list(map(op, a, b))
+            row += a[len(b):] if len(a) > len(b) else b[len(a):] if sign == 1 else map(neg, b[len(a):])
+            out.append(row)
+    return out
 
-    With m = (alpha, beta), a term (a, b) is step k = a // alpha (b // beta
-    when alpha is 0) of the chain base + j*m through it; the base is only a
-    key and may have a negative exponent. Along a chain the quotient at
-    step j is the sum of the coefficients at steps i <= j, so it is
-    constant from one term to the next, and it must be 0 from the last one
-    on. The cost is O(n log n) in the n terms plus one step per quotient
-    term.
-    """
-    chains: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (a, b), coeff in terms.items():
-        k = a // alpha if alpha else b // beta
-        chains.setdefault((a - k * alpha, b - k * beta), []).append((k, coeff))
+
+def _ray_quotient(rows: Rows, alpha: int, beta: int) -> Optional[Rows]:
+    """The rows of q = rows / (1 - a^alpha b^beta), or None when q is not a
+    polynomial. q[i][j] = rows[i][j] + q[i - alpha][j - beta] is a running
+    sum along each chain s, s + m, s + 2m, ..., exact iff every chain's tail
+    is 0: with alpha = 0 the chains are a row's residue classes mod beta,
+    tails its last beta entries; else each row adds the row alpha above,
+    shifted by beta, and the tails are the last alpha rows."""
+    out: Rows = []
+    if not alpha:
+        for row in rows:
+            quotient = row[:]
+            _sweep_row(quotient, beta)
+            cut = max(len(quotient) - beta, 0)
+            if any(quotient[cut:]):
+                return None
+            del quotient[cut:]  # an exact quotient row ends in a nonzero entry
+            out.append(quotient)
+        return out
+    for i, row in enumerate(rows):
+        quotient = row[:]
+        above = out[i - alpha] if i >= alpha else None
+        if above:
+            end = beta + len(above)
+            quotient += [0] * (end - len(quotient))
+            quotient[beta:end] = map(add, quotient[beta:end], above)
+        out.append(quotient)
+    if any(map(any, out[-alpha:])):
+        return None
+    return out
+
+
+def _long_division(terms: Mapping, divisor: Mapping) -> dict[Monomial2, int]:
+    """The term map of q with q * divisor == terms, or raise NonExactDivision.
+    Long division by the graded-lex leading term, whose remainder leaves a
+    heap in descending order: O(n log n) in the n monomials it ever holds."""
+    lead = max(divisor, key=_grlex)
+    lead_coeff = divisor[lead]
+    rest = [(da, db, dc) for (da, db), dc in divisor.items() if (da, db) != lead]
+    remainder: dict[tuple[int, int], int] = dict(terms)
+    heap = [(-a - b, -a) for a, b in remainder]
+    heapify(heap)
     quotient: dict[Monomial2, int] = {}
-    for (base_a, base_b), steps in chains.items():
-        steps.sort()
-        total = 0
-        since = 0
-        for k, coeff in steps:
+    while heap:
+        neg_degree, neg_a = heappop(heap)
+        top = _monomial((-neg_a, neg_a - neg_degree))
+        top_coeff = remainder.pop(top, 0)
+        if not top_coeff:
+            continue  # cancelled after it was pushed
+        if top.exp_a < lead.exp_a or top.exp_b < lead.exp_b:
+            raise NonExactDivision(f"no exact quotient: stuck at term {top}")
+        q, r = divmod(top_coeff, lead_coeff)
+        if r:
+            raise NonExactDivision(
+                f"no exact quotient: coefficient {top_coeff} not divisible by {lead_coeff}"
+            )
+        qa, qb = top.exp_a - lead.exp_a, top.exp_b - lead.exp_b
+        quotient[_monomial((qa, qb))] = q
+        # The lead term of q * divisor cancels top, which is already popped.
+        for da, db, dc in rest:
+            key = (qa + da, qb + db)
+            if key not in remainder:
+                heappush(heap, (-key[0] - key[1], -key[0]))
+            total = remainder.get(key, 0) - q * dc
             if total:
-                for j in range(since, k):
-                    quotient[_monomial((base_a + j * alpha, base_b + j * beta))] = total
-            total += coeff
-            since = k
-        if total:
-            return None
+                remainder[key] = total
+            else:
+                del remainder[key]
     return quotient
 
 
-def _monomial_keys(terms: dict) -> dict[Monomial2, int]:
-    """A term map keyed by plain exponent pairs, rekeyed by Monomial2 with
-    cancelled terms dropped."""
-    return {_monomial(key): coeff for key, coeff in terms.items() if coeff}
-
-
 class _TermMap:
-    """What polynomials and truncated series share: a map from exponent
-    pairs to nonzero integer coefficients, read in graded-lex order."""
+    """What polynomials and truncated series share: rows, and the map from
+    exponent pairs to nonzero coefficients that they give."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_rows", "_terms")
 
     @property
     def terms(self) -> Mapping[Monomial2, int]:
-        """The underlying term map; treat as read-only."""
-        return self._terms
+        """Built from the rows on first read and cached; treat as read-only."""
+        terms = self._terms
+        if terms is None:
+            rows = self._rows
+            terms = {_monomial((i, j)): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+            self._terms = terms
+        return terms
 
     def coefficient(self, exp_a: int, exp_b: int) -> int:
         return self.terms.get(Monomial2(exp_a, exp_b), 0)
@@ -222,6 +316,14 @@ class _TermMap:
 class Poly2(_TermMap):
     """A polynomial with exact integer coefficients in two variables.
 
+    Row i lists the coefficients of a^i b^0, a^i b^1, ... up to its last
+    nonzero one, with no trailing empty row. A sum costs one C-level map per
+    row. A product costs one slice add per pair of a term of one factor and
+    a row of the other, the cheaper way round. x -> x*y is a shift of each
+    row, and division by 1 - m a running sum per row or a row sweep. Memory
+    follows the exponents, not the term count: ``Poly2.monomial(0, 10**6)``
+    holds a row of 10^6 + 1 entries, about 8 MB.
+
     >>> x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
     >>> ((1 - y) * (1 + y + y**2)).text()
     '1 + -b^3'
@@ -233,23 +335,17 @@ class Poly2(_TermMap):
 
     def __init__(self, terms: Mapping | Iterable[tuple[MonomialLike, int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _collect(items)
-
-    @classmethod
-    def _trusted(cls, terms: dict[Monomial2, int]) -> "Poly2":
-        """Wrap a term map this module built itself, with Monomial2 keys and
-        no zero coefficients, without the public constructor's checks."""
-        poly = cls.__new__(cls)
-        poly._terms = terms
-        return poly
+        collected = _collect(items)
+        self._rows = _rows_from_terms(collected.items())
+        self._terms = collected
 
     @classmethod
     def zero(cls) -> "Poly2":
-        return cls()
+        return _poly([])
 
     @classmethod
     def one(cls) -> "Poly2":
-        return cls({Monomial2(0, 0): 1})
+        return _poly([[1]])
 
     @classmethod
     def constant(cls, value: int) -> "Poly2":
@@ -257,59 +353,59 @@ class Poly2(_TermMap):
 
     @classmethod
     def monomial(cls, exp_a: int, exp_b: int, coeff: int = 1) -> "Poly2":
+        if type(exp_a) is type(exp_b) is type(coeff) is int and exp_a >= 0 and exp_b >= 0:
+            return _poly([[] for _ in range(exp_a)] + [[0] * exp_b + [coeff]])
         return cls({Monomial2(exp_a, exp_b): coeff})
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def total_degree(self) -> int:
         """Maximum exp_a + exp_b, or -1 for the zero polynomial."""
-        return max(map(sum, self._terms), default=-1)
+        return max((i + len(row) - 1 for i, row in enumerate(self._rows) if row), default=-1)
 
     @staticmethod
     def _coerce(other) -> Optional["Poly2"]:
         if isinstance(other, Poly2):
             return other
         if isinstance(other, int):
-            return Poly2.constant(other)
+            return _poly([[other]] if other else [])
         return None
 
     def __eq__(self, other) -> bool:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self._terms == coerced._terms
+        return self._rows == coerced._rows
 
     def __add__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Poly2._trusted(_add_terms(self._terms, coerced._terms))
+        return _poly(_row_sum(self._rows, coerced._rows, 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2._trusted({m: -c for m, c in self._terms.items()})
+        return _poly([list(map(neg, row)) for row in self._rows])
 
     def __sub__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Poly2._trusted(_add_terms(self._terms, coerced._terms, -1))
+        return _poly(_row_sum(self._rows, coerced._rows, -1))
 
     def __rsub__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Poly2._trusted(_add_terms(coerced._terms, self._terms, -1))
+        return _poly(_row_sum(coerced._rows, self._rows, -1))
 
     def __mul__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        # No product term exceeds the sum of the factors' degrees.
-        bound = self.total_degree() + coerced.total_degree()
-        return Poly2._trusted(_mul_terms(self._terms, coerced._terms, bound))
+        return _poly(_row_product(self._rows, coerced._rows, _UNBOUNDED))
 
     __rmul__ = __mul__
 
@@ -322,128 +418,79 @@ class Poly2(_TermMap):
         return result
 
     def mul_bounded(self, other: Union["Poly2", int], bound: int) -> "Poly2":
-        """Product with every term of total degree > bound dropped.
-
-        Safe whenever only the degree-<= bound part of the result matters,
-        because all exponents here are nonnegative. ``other`` is a Poly2 or
-        an int, as for ``*``; anything else, or a bound that is not an int,
-        raises TypeError.
-
-        The factor with fewer terms drives the loop and stops at its first
-        term past the bound, a constant term copies the other factor, and
-        each result key is built once: O(|small| * |big|) pair visits.
-        """
+        """The product of ``*`` without its terms of total degree > bound, for
+        callers that keep only lower degrees. ``other`` is a Poly2 or an int;
+        anything else, or a bound that is not an int, raises TypeError."""
         coerced = self._coerce(other)
         if coerced is None:
             raise TypeError(f"mul_bounded takes a Poly2 or an int, not {type(other).__name__}")
         if not isinstance(bound, int):
             raise TypeError(f"mul_bounded takes an int bound, not {type(bound).__name__}")
-        return Poly2._trusted(_mul_terms(self._terms, coerced._terms, bound))
+        return _poly(_row_product(self._rows, coerced._rows, bound))
 
     def substitute(self, x_image: MonomialLike, y_image: MonomialLike) -> "Poly2":
-        """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly."""
-        xi = _as_monomial(x_image)
-        yi = _as_monomial(y_image)
-        result: dict[tuple[int, int], int] = {}
-        for (i, j), coeff in self._terms.items():
-            key = (i * xi.exp_a + j * yi.exp_a, i * xi.exp_b + j * yi.exp_b)
-            result[key] = result.get(key, 0) + coeff
-        return Poly2._trusted(_monomial_keys(result))
+        """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly.
+        x -> x*b^s, y -> y shifts row i by i*s; another y_image without an a
+        adds each row as one strided slice, and one with an a places terms."""
+        xa, xb = _as_monomial(x_image)
+        ya, yb = _as_monomial(y_image)
+        rows = self._rows
+        if xa == yb == 1 and not ya:
+            return _poly([[0] * (i * xb) + row if row else [] for i, row in enumerate(rows)])
+        if ya:
+            return _poly(_rows_from_terms(
+                ((i * xa + j * ya, i * xb + j * yb), c)
+                for i, row in enumerate(rows) for j, c in enumerate(row) if c
+            ))
+        out: Rows = [[] for _ in range(xa * len(rows) - xa + 1)] if rows else []
+        for i, row in enumerate(rows):
+            if row:
+                target, start = out[i * xa], i * xb
+                values, step = (row, yb) if yb else ([sum(row)], 1)
+                stop = start + step * len(values) - step + 1
+                if len(target) < stop:
+                    target += [0] * (stop - len(target))
+                target[start:stop:step] = map(add, target[start:stop:step], values)
+        return _poly(out)
 
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
-        """Return q with q * divisor == self, or raise NonExactDivision.
-
-        Long division by the graded-lex leading term. A single divisor
-        generates its own ideal basis, so a nonzero remainder (or a
-        non-divisible integer leading coefficient) proves no exact integer
-        quotient exists.
-
-        The remainder's monomials are visited once each, in descending
-        graded-lex order, from a heap: a monomial is pushed when it enters
-        the remainder and skipped if it has cancelled by the time it comes
-        out. Every product of a quotient term with the divisor's other terms
-        lies below the term just cleared, so the order never goes back up,
-        and the division costs O(n log n) in the n monomials the remainder
-        ever holds, times the divisor's length.
-
-        A divisor of exactly 1 - m, for a monomial m of positive degree,
-        takes the ray path first: q = self / (1 - m) has q[s] = self[s] +
-        q[s - m], so along each chain p, p + m, p + 2m, ... of the
-        dividend's terms the quotient is the running sum of their
-        coefficients. The quotient is a polynomial iff every chain sums to
-        0; when one does not, the long division above runs instead and
-        raises its usual NonExactDivision.
-        """
+        """Return q with q * divisor == self, or raise NonExactDivision. A
+        divisor of exactly 1 - m divides on the rows (``_ray_quotient``); any
+        other, or a remainder, takes ``_long_division``."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = max(divisor._terms, key=_grlex)
-        lead_coeff = divisor._terms[lead]
-        if len(divisor._terms) == 2 and lead_coeff == -1 and divisor._terms.get((0, 0)) == 1:
-            quotient = _divide_along_ray(self._terms, *lead)
+        rows = divisor._rows
+        if rows[0][:1] == [1] and rows[-1][-1] == -1 and _term_count(rows) == 2:
+            quotient = _ray_quotient(self._rows, len(rows) - 1, len(rows[-1]) - 1)
             if quotient is not None:
-                return Poly2._trusted(quotient)
-        rest = [(da, db, dc) for (da, db), dc in divisor._terms.items() if (da, db) != lead]
-        remainder: dict[tuple[int, int], int] = dict(self._terms)
-        heap = [(-a - b, -a) for a, b in remainder]
-        heapify(heap)
-        quotient: dict[Monomial2, int] = {}
-        while heap:
-            neg_degree, neg_a = heappop(heap)
-            top = _monomial((-neg_a, neg_a - neg_degree))
-            top_coeff = remainder.pop(top, 0)
-            if not top_coeff:
-                continue  # cancelled after it was pushed
-            if top.exp_a < lead.exp_a or top.exp_b < lead.exp_b:
-                raise NonExactDivision(f"no exact quotient: stuck at term {top}")
-            q, r = divmod(top_coeff, lead_coeff)
-            if r:
-                raise NonExactDivision(
-                    f"no exact quotient: coefficient {top_coeff} not divisible by {lead_coeff}"
-                )
-            qa, qb = top.exp_a - lead.exp_a, top.exp_b - lead.exp_b
-            quotient[_monomial((qa, qb))] = q
-            # The lead term of q * divisor cancels top, which is already popped.
-            for da, db, dc in rest:
-                key = (qa + da, qb + db)
-                if key in remainder:
-                    total = remainder[key] - q * dc
-                    if total:
-                        remainder[key] = total
-                    else:
-                        del remainder[key]
-                else:
-                    remainder[key] = -q * dc
-                    heappush(heap, (-key[0] - key[1], -key[0]))
-        return Poly2._trusted(quotient)
+                return _poly(quotient)
+        return Poly2(_long_division(self.terms, divisor.terms))
 
     def __repr__(self) -> str:
         return f"Poly2({self.text()})"
 
 
+_last = itemgetter(-1)
+
+
+def _poly(rows: Rows) -> Poly2:
+    """Wrap rows this module built as a Poly2, unchecked, after dropping in
+    place each row's trailing zeros and then the trailing empty rows."""
+    if not all(map(_last, filter(None, rows))):
+        for row in rows:
+            if row and not row[-1]:
+                del row[bytes(map(bool, row)).rfind(1) + 1:]
+    while rows and not rows[-1]:
+        rows.pop()
+    poly = object.__new__(Poly2)
+    poly._rows = rows
+    poly._terms = None
+    return poly
+
+
 def _check_truncation(truncation: int) -> None:
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-
-
-# rows[i][j] is the coefficient of a^i b^j; row i has T - i + 1 entries.
-Rows = list[list[int]]
-
-
-def _trimmed(rows: Rows) -> Rows:
-    """Drop trailing all-zero rows in place, so equal series have equal rows."""
-    while rows and not any(rows[-1]):
-        rows.pop()
-    return rows
-
-
-def _rows_from_terms(truncation: int, terms: Mapping) -> Rows:
-    """The rows of a term map with no zero coefficients and no term beyond
-    the bound; its highest exp_a gives the last row, which is nonzero."""
-    height = max((mono[0] for mono in terms), default=-1) + 1
-    rows = [[0] * (truncation - i + 1) for i in range(height)]
-    for (i, j), coeff in terms.items():
-        rows[i][j] = coeff
-    return rows
 
 
 def _sweep_row(row: list[int], step: int) -> None:
@@ -460,48 +507,22 @@ def _sweep_row(row: list[int], step: int) -> None:
 
 
 def _sweep(rows: Rows, ray: Monomial2, truncation: int) -> Rows:
-    """The rows times 1/(1 - a^alpha b^beta): on a copy, c[i][j] +=
-    c[i - alpha][j - beta] in increasing (i, j). Costs O(T) list operations
+    """The rows times 1/(1 - a^alpha b^beta): c[i][j] += c[i - alpha][j -
+    beta] in increasing (i, j), into new rows. Costs O(T) list operations
     when alpha > 0 and O(sqrt T) per row when alpha = 0."""
     alpha, beta = ray
-    out = [row[:] for row in rows]
-    if alpha:
-        out += [[0] * (truncation - i + 1) for i in range(len(out), truncation + 1)]
-        for i in range(alpha, truncation + 1):
-            row = out[i]
-            # Row i - alpha is final already; zip-style map stops at row i's end.
-            row[beta:] = map(add, row[beta:], out[i - alpha])
-    else:
+    if not alpha:
+        out = [row[:] for row in rows]
         for row in out:
             _sweep_row(row, beta)
-    return _trimmed(out)
-
-
-def _term_count(rows: Rows) -> int:
-    return sum(len(row) - row.count(0) for row in rows)
-
-
-def _row_product(left: Rows, right: Rows, truncation: int) -> Rows:
-    """left * right through the bound: each term of the operand with fewer
-    terms adds a scaled, shifted slice of the other operand's rows."""
-    if _term_count(left) > _term_count(right):
-        left, right = right, left
-    height = min(truncation + 1, len(left) + len(right) - 1)
-    out = [[0] * (truncation - i + 1) for i in range(height)]
-    for i, row in enumerate(left):
-        for j, coeff in enumerate(row):
-            if coeff:
-                for target, source in zip(out[i:], right):
-                    target[j:] = [x + coeff * y for x, y in zip(target[j:], source)]
-    return _trimmed(out)
-
-
-def _row_sum(left: Rows, right: Rows, sign: int) -> Rows:
-    """left + sign * right, row by row. Rows only one side has are shared,
-    which is safe because no kernel writes to a row it did not create."""
-    out = [list(map(add if sign == 1 else sub, a, b)) for a, b in zip(left, right)]
-    out += left[len(right):]
-    out += right[len(left):] if sign == 1 else [[-c for c in row] for row in right[len(left):]]
+        return _trimmed(out)
+    # Row i gains row i - alpha, shifted by beta, while i + beta <= T; the rest are shared.
+    zero = [0] * (truncation + 1)
+    out = rows[:alpha] + [zero[i:] for i in range(len(rows), alpha)]
+    for i in range(alpha, truncation - beta + 1):
+        row = rows[i] if i < len(rows) else zero[i:]
+        out.append([*row[:beta], *map(add, row[beta:], out[i - alpha])])
+    out += rows[len(out):]
     return _trimmed(out)
 
 
@@ -512,7 +533,7 @@ class TruncSeries2(_TermMap):
     else raises TruncationMismatch rather than silently mixing precisions.
     """
 
-    __slots__ = ("_truncation", "_rows", "_ray")
+    __slots__ = ("_truncation", "_ray")
 
     def __init__(self, truncation: int, terms: Mapping | Iterable = ()) -> None:
         _check_truncation(truncation)
@@ -522,7 +543,7 @@ class TruncSeries2(_TermMap):
             if mono.degree > truncation:
                 raise ValueError(f"term {mono} exceeds truncation {truncation}")
         self._truncation = truncation
-        self._rows = _rows_from_terms(truncation, collected)
+        self._rows = _padded(_rows_from_terms(collected.items()), truncation)
         self._terms = collected
         self._ray = None
 
@@ -530,9 +551,8 @@ class TruncSeries2(_TermMap):
     def _from_rows(
         cls, truncation: int, rows: Rows, ray: Optional[Monomial2] = None
     ) -> "TruncSeries2":
-        """Wrap rows this module built itself, row i of length T - i + 1 and
-        no trailing all-zero row, without the public constructor's checks.
-        ``ray`` marks the series 1/(1 - ray) for the product sweep."""
+        """Wrap series rows this module built, unchecked; ``ray`` marks the
+        series 1/(1 - ray) for the product sweep."""
         series = cls.__new__(cls)
         series._truncation = truncation
         series._rows = rows
@@ -544,10 +564,7 @@ class TruncSeries2(_TermMap):
     def from_poly(cls, poly: Poly2, truncation: int) -> "TruncSeries2":
         """The polynomial viewed as a series: terms beyond the bound drop."""
         _check_truncation(truncation)
-        terms = {m: c for m, c in poly.terms.items() if m.degree <= truncation}
-        series = cls._from_rows(truncation, _rows_from_terms(truncation, terms))
-        series._terms = terms
-        return series
+        return cls._from_rows(truncation, _padded(_clipped(poly._rows, truncation), truncation))
 
     @classmethod
     def zero(cls, truncation: int) -> "TruncSeries2":
@@ -561,20 +578,15 @@ class TruncSeries2(_TermMap):
     def truncation(self) -> int:
         return self._truncation
 
-    @property
-    def terms(self) -> Mapping[Monomial2, int]:
-        """The term map, built from the rows on first read; treat as
-        read-only."""
-        terms = self._terms
-        if terms is None:
-            terms = {
-                Monomial2(i, j): c
-                for i, row in enumerate(self._rows)
-                for j, c in enumerate(row)
-                if c
-            }
-            self._terms = terms
-        return terms
+    def __getattr__(self, name: str):
+        # Runs only for an unset slot: the rows of a geometric series, which
+        # a product with it never reads, are built on first use.
+        if name != "_rows" or self._ray is None:
+            raise AttributeError(name)
+        (alpha, beta), truncation = self._ray, self._truncation
+        powers = range(truncation // (alpha + beta) + 1)
+        self._rows = _padded(_rows_from_terms(((k * alpha, k * beta), 1) for k in powers), truncation)
+        return self._rows
 
     def _check_compatible(self, other: "TruncSeries2") -> None:
         if self._truncation != other._truncation:
@@ -587,17 +599,17 @@ class TruncSeries2(_TermMap):
             return NotImplemented
         return self._truncation == other._truncation and self._rows == other._rows
 
-    def __add__(self, other: "TruncSeries2") -> "TruncSeries2":
+    def _sum(self, other, sign: int):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
         self._check_compatible(other)
-        return TruncSeries2._from_rows(self._truncation, _row_sum(self._rows, other._rows, 1))
+        return TruncSeries2._from_rows(self._truncation, _trimmed(_row_sum(self._rows, other._rows, sign)))
+
+    def __add__(self, other: "TruncSeries2") -> "TruncSeries2":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
-        if not isinstance(other, TruncSeries2):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncSeries2._from_rows(self._truncation, _row_sum(self._rows, other._rows, -1))
+        return self._sum(other, -1)
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         if not isinstance(other, TruncSeries2):
@@ -609,7 +621,7 @@ class TruncSeries2(_TermMap):
         elif self._ray is not None:
             rows = _sweep(other._rows, self._ray, bound)
         else:
-            rows = _row_product(self._rows, other._rows, bound)
+            rows = _padded(_row_product(self._rows, other._rows, bound), bound)
         return TruncSeries2._from_rows(bound, rows)
 
     def specialize_univariate(self) -> list[int]:
@@ -631,22 +643,17 @@ class TruncSeries2(_TermMap):
 def geometric_series(mono: MonomialLike, truncation: int) -> TruncSeries2:
     """1/(1 - m) = 1 + m + m^2 + ... through the truncation bound.
 
-    The result records m, so a product with it, on either side, runs as the
-    sweep c[i][j] += c[i - alpha][j - beta] over a copy of the other
-    factor's rows instead of a convolution. A factor then costs O(T) list
-    operations (O(sqrt T) per row when alpha = 0), not one multiply for
-    each pair of a term and a power of m: O(T^2 / deg m) for a series in b
-    alone.
+    The result records m, so a product with it runs as the sweep c[i][j] +=
+    c[i - alpha][j - beta] over the other factor's rows, O(T) list operations
+    (O(sqrt T) per row when alpha = 0); its own rows are built only if read.
     """
     m = _as_monomial(mono)
     if m.degree == 0:
         raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
     _check_truncation(truncation)
-    powers = truncation // m.degree + 1
-    rows = [[0] * (truncation - i + 1) for i in range((powers - 1) * m.exp_a + 1)]
-    for k in range(powers):
-        rows[k * m.exp_a][k * m.exp_b] = 1
-    return TruncSeries2._from_rows(truncation, rows, m)
+    series = TruncSeries2.__new__(TruncSeries2)
+    series._truncation, series._terms, series._ray = truncation, None, m
+    return series  # _rows stays unset until TruncSeries2.__getattr__ builds it
 
 
 @dataclass(frozen=True)
@@ -666,17 +673,10 @@ class RationalExpr:
         object.__setattr__(self, "denominator_factors", factors)
 
     def expand(self, truncation: int) -> TruncSeries2:
-        """Multiply the numerator by each factor's geometric expansion.
-
-        Each product with ``geometric_series`` runs as a sweep over the
-        rows: a factor (1 - a^alpha b^beta) with alpha > 0 costs one slice
-        add per row, O(T) list operations and O(T^2) integer additions, and
-        a factor (1 - b^beta) costs O(sqrt T) slice operations per row.
-
-        Numerator terms beyond the bound drop up front, and factors whose
-        monomial degree exceeds the bound expand to 1; neither affects any
-        retained coefficient. The result is independent of factor order.
-        """
+        """Multiply the numerator by each factor's geometric expansion, a
+        sweep over the rows (see ``geometric_series``). Numerator terms beyond
+        the bound drop up front, and factors of degree beyond it expand to 1;
+        neither affects a retained coefficient, nor does the factor order."""
         series = TruncSeries2.from_poly(self.numerator, truncation)
         for mono in self.denominator_factors:
             if mono.degree > truncation:

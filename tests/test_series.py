@@ -2,10 +2,12 @@ import math
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondgf import series
 from diamondgf.series import (
     Monomial2,
     NonExactDivision,
@@ -14,7 +16,6 @@ from diamondgf.series import (
     RationalExpr,
     TruncationMismatch,
     TruncSeries2,
-    _divide_along_ray,
     coeffs_json,
     coeffs_text,
     geometric_series,
@@ -74,12 +75,17 @@ def reference_divide(dividend, divisor):
 
 def assert_valid_term_map(result):
     """What the public constructors guarantee, checked on a result that
-    skipped them."""
+    skipped them: canonical rows, and a term map that reads the rows."""
+    rows = result._rows
     assert all(type(mono) is Monomial2 for mono in result.terms)
     assert all(result.terms.values())
+    assert result.terms == {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    assert not rows or any(rows[-1]), "a trailing all-zero row"
     if isinstance(result, TruncSeries2):
+        assert [len(row) for row in rows] == [result.truncation - i + 1 for i in range(len(rows))]
         assert result == TruncSeries2(result.truncation, result.terms)
     else:
+        assert all(row[-1] for row in rows if row), "a row ending in 0"
         assert result == Poly2(result.terms)
 
 
@@ -191,7 +197,8 @@ def test_division_by_one_minus_a_ray_matches_reference_division(p, ray, r):
             assert_valid_term_map(quotient)
     # An exact quotient comes from the running sums, not from the fallback.
     if not r:
-        assert _divide_along_ray(dividend.terms, *ray) == p.terms
+        with mock.patch.object(series, "_long_division", side_effect=AssertionError):
+            assert dividend.divide_exact(one_minus_m) == p
 
 
 def test_ring_axioms_random():
@@ -249,6 +256,7 @@ def test_kernel_results_are_valid_term_maps(p, q, bound, x_image, y_image):
     for result in results:
         assert_valid_term_map(result)
     assert s - s == TruncSeries2.zero(bound)
+    assert (p - p)._rows == [] and p - p == Poly2.zero()
 
 
 # Coefficients past 64 bits or negative, so no kernel can lean on machine
@@ -329,6 +337,76 @@ def test_products_match_reference_multiply(data, operands):
         assert result == expected
 
 
+def reference_substitute(terms, x_image, y_image):
+    """Each term x^i y^j sent to x_image^i * y_image^j, one at a time."""
+    out = {}
+    for (i, j), c in terms.items():
+        key = (i * x_image[0] + j * y_image[0], i * x_image[1] + j * y_image[1])
+        out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def row_shaped_operands(draw):
+    """(p, q, m): operands in one of three shapes that the row kernels treat
+    differently, and a monomial m for divisions by 1 - m."""
+    shape = draw(st.sampled_from(["long", "tall", "cancelling"]))
+    m = draw(nonconstant)
+    if shape == "long":
+        # A long row in b alone against a factor of one to three terms.
+        p = Poly2({(0, j): c for j, c in enumerate(draw(st.lists(coefficients, max_size=300)))})
+        q = Poly2(draw(st.dictionaries(exponents, coefficients.filter(bool), min_size=1, max_size=3)))
+    elif shape == "tall":
+        # Shaped like E_d(a^w b^n, a): many rows of a few entries each.
+        def tall():
+            e = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 8)), coefficients,
+                                     max_size=12))
+            return Poly2(reference_substitute(e, (draw(st.integers(0, 6)), draw(st.integers(1, 4))), (1, 0)))
+        p, q = tall(), tall()
+    else:
+        # c*u*(1 - m) against r*(1 + m + ... + m^j): all but the ends cancel.
+        u, c = draw(exponents), draw(coefficients.filter(bool))
+        p = Poly2({u: c, (u[0] + m[0], u[1] + m[1]): -c})
+        run = {(k * m[0], k * m[1]): 1 for k in range(draw(st.integers(1, 8)))}
+        q = Poly2(reference_product(draw(st.dictionaries(exponents, coefficients, max_size=5)), run,
+                                    math.inf))
+    return p, q, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), row_shaped_operands())
+def test_row_kernels_match_independent_references(data, operands):
+    p, q, m = operands
+    # From below both operands' degrees to past the full product's.
+    bound = data.draw(st.integers(-1, p.total_degree() + q.total_degree() + 1))
+    images = data.draw(st.tuples(exponents, exponents))
+    shift = (1, data.draw(st.integers(0, 3)))  # x -> x*y^s, y -> y: the recurrence's row shift
+    full = reference_product(p.terms, q.terms, math.inf)
+    kept = reference_product(p.terms, q.terms, bound)
+    divisor = Poly2({(0, 0): 1, m: -1})
+    checks = [
+        (p * q, full), (q * p, full), (p.mul_bounded(q, bound), kept), (q.mul_bounded(p, bound), kept),
+        (p + q, reference_sum(p.terms, q.terms, 1)), (p - q, reference_sum(p.terms, q.terms, -1)),
+        (q - p, reference_sum(q.terms, p.terms, -1)), (p - p, {}),
+        (p.substitute(*images), reference_substitute(p.terms, *images)),
+        (q.substitute(shift, (0, 1)), reference_substitute(q.terms, shift, (0, 1))),
+        (Poly2(reference_product(p.terms, divisor.terms, math.inf)).divide_exact(divisor), p.terms),
+    ]
+    for result, expected in checks:
+        assert_valid_term_map(result)
+        assert result.terms == expected
+    # With a remainder, the quotient or the failure and its message match.
+    dividend = Poly2(reference_sum(reference_product(p.terms, divisor.terms, math.inf), q.terms, 1))
+    try:
+        expected = reference_divide(dividend, divisor)
+    except NonExactDivision as exc:
+        with pytest.raises(NonExactDivision) as info:
+            dividend.divide_exact(divisor)
+        assert str(info.value) == str(exc)
+    else:
+        assert dividend.divide_exact(divisor).terms == expected.terms
+
+
 def reference_geometric(ray, truncation):
     alpha, beta = ray
     return {(k * alpha, k * beta): 1 for k in range(truncation // (alpha + beta) + 1)}
@@ -371,19 +449,23 @@ def test_row_kernels_match_sparse_reference(data, truncation, flat, rising):
 
 
 def test_cached_terms_are_safe_to_fill_from_many_threads():
-    # Threads race to build the same lazily cached term map; each must see
-    # the whole map, whichever thread's copy ends up cached.
+    # Threads race to build the same lazily cached term maps, of series and
+    # of polynomials; each must see the whole map, whichever thread's copy
+    # ends up cached.
     bound = 100
-    expected = reference_product({(0, 0): 1, (1, 0): 1}, reference_geometric((0, 1), bound), bound)
-    series = [
-        TruncSeries2.from_poly(ONE + X, bound) * geometric_series((0, 1), bound)
+    run = reference_geometric((0, 1), bound)
+    series = reference_product({(0, 0): 1, (1, 0): 1}, run, bound)
+    poly = reference_product({(0, 0): 1, (1, 0): 1}, run, math.inf)
+    values = [
+        (TruncSeries2.from_poly(ONE + X, bound) * geometric_series((0, 1), bound), series)
         for _ in range(100)
     ]
+    values += [((ONE + X) * Poly2(run), poly) for _ in range(100)]
     seen = []
 
     def read():
-        for s in series:
-            seen.append(dict(s.terms) == expected)
+        for value, expected in values:
+            seen.append(dict(value.terms) == expected)
 
     threads = [threading.Thread(target=read) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -396,7 +478,7 @@ def test_cached_terms_are_safe_to_fill_from_many_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert seen == [True] * (8 * len(series))
+    assert seen == [True] * (8 * len(values))
 
 
 def test_geometric_series():
