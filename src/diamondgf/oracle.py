@@ -58,8 +58,10 @@ def enumerate_ppartitions(
     # Element k plus every element above it (all later, by natural labels).
     shares = [1] * (c + 1)
     for j in range(1, c + 1):
-        for k in p.predecessors(j):
-            shares[k] += 1
+        below = p.down_mask(j)
+        for k in range(1, j):
+            if below >> k & 1:
+                shares[k] += 1
     is_fold = [False] + [tag == FOLD_TAG for tag in tags]
     values = [0] * (c + 1)
     counts: dict[tuple[int, int], int] = {}
@@ -117,7 +119,7 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
     # Values decrease upward, so 0 on an element below every later element
     # forces 0 on the rest.
     seals = [False] + [
-        all(k in poset.predecessors(j) for j in range(k + 1, c + 1)) for k in range(1, c + 1)
+        all(poset.down_mask(j) >> k & 1 for j in range(k + 1, c + 1)) for k in range(1, c + 1)
     ]
     values = [0] * (c + 1)
     coeffs = [0] * (truncation + 1)

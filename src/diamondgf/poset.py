@@ -11,9 +11,11 @@ construction reduces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import add, gt
 from typing import Iterable, Optional, Sequence
 
-from .series import Monomial2, Poly2, RationalExpr, TruncSeries2
+from .series import TruncSeries2, geometric_series
 
 # Linear-extension counts can reach c!, so enumeration is guarded by poset
 # size; pass a larger max_size to override.
@@ -61,10 +63,12 @@ class Poset:
     """A partial order on {1..size} given by cover relations.
 
     Covers are stored transitively reduced. Since every cover must increase
-    the integer label, acyclicity is automatic.
+    the integer label, acyclicity is automatic. Each strict down-set is kept
+    as an int bitmask (bit j for element j), so a c-element poset holds
+    about c^2 / 8 bytes of down-sets rather than c^2 / 2 set entries.
     """
 
-    __slots__ = ("size", "covers", "_pred", "_lowers", "_uppers")
+    __slots__ = ("size", "covers", "_down", "_lowers", "_uppers")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         if size < 1:
@@ -80,18 +84,17 @@ class Poset:
             raw_lowers[k].append(j)
 
         # Strict down-sets in one ascending pass; covers only point upward.
-        pred: dict[int, set[int]] = {}
+        down = [0] * (size + 1)
         for k in range(1, size + 1):
-            below: set[int] = set()
+            below = 0
             for j in raw_lowers[k]:
-                below.add(j)
-                below |= pred[j]
-            pred[k] = below
+                below |= down[j] | 1 << j
+            down[k] = below
 
         reduced: set[tuple[int, int]] = set()
         for k in range(1, size + 1):
             for j in raw_lowers[k]:
-                implied = any(j in pred[z] for z in raw_lowers[k] if z != j)
+                implied = any(down[z] >> j & 1 for z in raw_lowers[k] if z != j)
                 if not implied:
                     reduced.add((j, k))
 
@@ -103,7 +106,7 @@ class Poset:
 
         self.size = size
         self.covers = frozenset(reduced)
-        self._pred = {k: frozenset(v) for k, v in pred.items()}
+        self._down = tuple(down)
         self._lowers = {k: tuple(v) for k, v in lowers.items()}
         self._uppers = {j: tuple(v) for j, v in uppers.items()}
 
@@ -113,9 +116,17 @@ class Poset:
     def upper_covers(self, j: int) -> tuple[int, ...]:
         return self._uppers[j]
 
+    def down_mask(self, k: int) -> int:
+        """All elements strictly below k, as a bitmask: bit j is set for
+        each such j."""
+        if not 1 <= k <= self.size:
+            raise KeyError(k)
+        return self._down[k]
+
     def predecessors(self, k: int) -> frozenset[int]:
-        """All elements strictly below k."""
-        return self._pred[k]
+        """All elements strictly below k, built from ``down_mask`` on call."""
+        mask = self.down_mask(k)
+        return frozenset(j for j in range(1, k) if mask >> j & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
@@ -201,41 +212,36 @@ def jordan_holder(p: Poset, max_size: int = MAX_JH_SIZE) -> list[tuple[int, ...]
     """All linear extensions as words, in lexicographic order.
 
     A word lists the poset elements so that every element appears after all
-    elements below it.
+    elements below it. The words grow one letter per level, without
+    recursion. The letters of a prefix form a down-set, and what may follow
+    depends on that set alone: each element not yet placed whose lower
+    covers all are. So each level keeps its prefixes grouped by down-set,
+    and a group's next letters are found once, by int mask tests, and
+    appended to all of its prefixes at once. A prefix always completes to
+    some extension, so no level holds more prefixes than the answer has
+    words; the last level is one group, sorted once.
     """
     if p.size > max_size:
         raise PosetTooLarge(
             f"poset has {p.size} elements, guard is {max_size}; raise max_size to override"
         )
-    c = p.size
-    pending = [0] * (c + 1)  # unplaced lower covers per element
-    for k in range(1, c + 1):
-        pending[k] = len(p.lower_covers(k))
-    used = [False] * (c + 1)
-    word: list[int] = []
-    words: list[tuple[int, ...]] = []
-
-    def extend() -> None:
-        if len(word) == c:
-            words.append(tuple(word))
-            return
-        for k in range(1, c + 1):
-            if used[k] or pending[k]:
-                continue
-            used[k] = True
-            for upper in p.upper_covers(k):
-                pending[upper] -= 1
-            word.append(k)
-            extend()
-            word.pop()
-            for upper in p.upper_covers(k):
-                pending[upper] += 1
-            used[k] = False
-
-    try:
-        extend()
-    finally:
-        del extend  # it refers to itself through its closure
+    # (the one-letter word, its bit, the mask of its lower covers), by label
+    elements = [
+        ((k,), 1 << k, sum(1 << j for j in p.lower_covers(k))) for k in range(1, p.size + 1)
+    ]
+    level: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    for _ in elements:
+        longer: dict[int, list[tuple[int, ...]]] = {}
+        while level:  # each group is freed once it has grown
+            placed, prefixes = level.popitem()
+            missing = ~placed
+            for letter, bit, needs in elements:
+                if bit & missing and not needs & missing:
+                    grown = map(add, prefixes, repeat(letter, len(prefixes)))
+                    longer.setdefault(placed | bit, []).extend(grown)
+        level = longer
+    (words,) = level.values()
+    words.sort()
     return words
 
 
@@ -252,36 +258,56 @@ def stanley_sigma(
         prod_{descents j of w} m(j+1)  /  prod_{i=1..c} (1 - m(i))
 
     where m(i) is the product of the variables assigned to the trailing
-    elements w(i), ..., w(c). Words sharing a denominator (as a multiset of
-    factors) are grouped so the expansion runs once per group.
+    elements w(i), ..., w(c). The suffix of length L has degree L, so
+    m_L = a^(f_L) b^(L - f_L), where f_L counts the fold elements among the
+    last L letters; the fold counts (f_1, ..., f_c) fix the denominator.
+
+    A factor of degree above T expands to 1, so words are grouped by
+    (f_1, ..., f_K) with K = min(c, T), which merges denominators that
+    differ only past T, and a word whose numerator has degree above T is
+    dropped. The groups are the leaves of a trie on these keys, and the sum
+    is factored along it, Horner style: from L = K down to 1, each node's
+    series is multiplied by 1/(1 - m_L) and added into its parent. That is
+    one sweep per trie node rather than one per factor of every group, and
+    none at a node whose terms all have degree above T - L, which the
+    factor cannot change.
     """
     tags = validate_assignment(assignment, p.size)
     c = p.size
     words = jordan_holder(p, max_size)
-    groups: dict[tuple[Monomial2, ...], dict[Monomial2, int]] = {}
+    is_fold = (0, *(int(tag == FOLD_TAG) for tag in tags))
+    depth = min(c, truncation)
+    lengths = range(c - 1, 0, -1)  # the suffix length after each adjacent pair
+    groups: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for w in words:
-        suffix: list[Monomial2] = [Monomial2(0, 0)] * c
-        count_a = count_b = 0
-        for i in range(c - 1, -1, -1):
-            if tags[w[i] - 1] == FOLD_TAG:
-                count_a += 1
-            else:
-                count_b += 1
-            suffix[i] = Monomial2(count_a, count_b)
-        numer_a = numer_b = 0
-        for j in range(1, c):
-            if w[j - 1] > w[j]:
-                numer_a += suffix[j].exp_a
-                numer_b += suffix[j].exp_b
-        key = tuple(sorted(suffix))
-        numerators = groups.setdefault(key, {})
-        mono = Monomial2(numer_a, numer_b)
+        # A descent just before the suffix of length L puts m_L on top.
+        descents = list(compress(lengths, map(gt, w, w[1:])))
+        degree = sum(descents)
+        if degree > truncation:
+            continue
+        folds = (0, *accumulate(map(is_fold.__getitem__, reversed(w))))  # folds[L] = f_L
+        numer_a = sum(map(folds.__getitem__, descents))
+        numerators = groups.setdefault(folds[1:depth + 1], {})
+        mono = (numer_a, degree - numer_a)
         numerators[mono] = numerators.get(mono, 0) + 1
 
-    total = TruncSeries2.zero(truncation)
-    for factors, numerators in groups.items():
-        total = total + RationalExpr(Poly2(numerators), factors).expand(truncation)
-    return total
+    # key -> (its series, the lowest degree among its terms)
+    nodes = {
+        key: (TruncSeries2(truncation, numerators), min(map(sum, numerators)))
+        for key, numerators in groups.items()
+    }
+    for length in range(depth, 0, -1):
+        parents: dict[tuple[int, ...], tuple[TruncSeries2, int]] = {}
+        for key, (series, low) in nodes.items():
+            if low + length <= truncation:
+                a = key[-1]
+                series = series * geometric_series((a, length - a), truncation)
+            sibling = parents.get(key[:-1])
+            if sibling is not None:
+                series, low = sibling[0] + series, min(sibling[1], low)
+            parents[key[:-1]] = (series, low)
+        nodes = parents
+    return nodes[()][0] if nodes else TruncSeries2.zero(truncation)
 
 
 def _parse_int(token: str, lineno: int) -> int:

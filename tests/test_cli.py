@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import diamondgf
-from diamondgf import cli, diamonds, oracle, permstat
+from diamondgf import cli, diamonds, oracle, permstat, poset
 from diamondgf.cli import main
 from diamondgf.poset import PosetTooLarge
-from diamondgf.series import Monomial2, Poly2, TruncSeries2
+from diamondgf.series import Monomial2, Poly2, TruncSeries2, geometric_series
 from diamondgf.verify import VerifyReport, verify_stanley
 
 CHAIN_FILE = "elements 3\ncover 1 2\ncover 2 3\n"
@@ -212,6 +212,17 @@ def test_ppartition_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_ppartition_on_a_deep_chain(capsys, tmp_path):
+    # One linear extension, 1100 letters long: enumerating it needs no
+    # stack frame per element.
+    lines = ["elements 1100"] + [f"cover {j} {j + 1}" for j in range(1, 1100)]
+    path = tmp_path / "deep-chain.poset"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "ppartition", str(path), "--trunc", "4", "--force")
+    assert (code, err) == (0, "")
+    assert out.strip() == "1 + b + 2*b^2 + 3*b^3 + 5*b^4"
+
+
 def test_ppartition_guard_and_force(capsys, tmp_path):
     lines = ["elements 13"] + [f"cover {j} {j + 1}" for j in range(1, 13)]
     path = tmp_path / "long-chain.poset"
@@ -248,6 +259,11 @@ def _drop_last(out, *args):
     return out[:-1]
 
 
+def _swap_exponents(out, mono, truncation):
+    # 1/(1 - b^j a^i) in place of 1/(1 - a^i b^j)
+    return geometric_series((mono[1], mono[0]), truncation)
+
+
 MUTATIONS = [
     # verify target argv, library function corrupted, expected mismatch
     (["apr", "--trunc", "6"], diamonds, "apr_product", _bump_last,
@@ -271,6 +287,23 @@ MUTATIONS = [
      _bump_at_d(2, 1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
     (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "_multifold_denominator",
      _drop_last, {"monomial": [0, 1], "lhs": "closed", "rhs": "oracle"}),
+    # Stanley's route: a lost linear extension, or a denominator factor with
+    # its a and b exponents swapped. Poset 0 of this corpus is an antichain.
+    (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], poset,
+     "jordan_holder", _drop_last,
+     {"monomial": [0, 1], "poset_index": 0, "lhs": "stanley", "rhs": "enumeration",
+      "lhs_coefficient": "1", "rhs_coefficient": "2"}),
+    (["main", "--d", "2", "--M", "1", "--trunc", "6"], poset, "jordan_holder", _drop_last,
+     {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley",
+      "lhs_coefficient": "2", "rhs_coefficient": "1"}),
+    (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], poset,
+     "geometric_series", _swap_exponents,
+     {"monomial": [0, 1], "poset_index": 0, "lhs": "stanley", "rhs": "enumeration",
+      "lhs_coefficient": "1", "rhs_coefficient": "2"}),
+    (["main", "--d", "2", "--M", "1", "--trunc", "6"], poset, "geometric_series",
+     _swap_exponents,
+     {"monomial": [0, 1], "lhs": "closed", "rhs": "stanley",
+      "lhs_coefficient": "1", "rhs_coefficient": "0"}),
 ]
 
 
@@ -287,9 +320,10 @@ def _mutation_ids(cases):
 )
 def test_verify_detects_an_off_by_one_result(capsys, monkeypatch, argv, module, name, perturb,
                                              expected):
-    # One corrupted library result (a coefficient off by one, or a dropped
-    # denominator factor) must fail its target with exit 1 and name the
-    # first differing coefficient.
+    # One corrupted library result (a coefficient off by one, a dropped
+    # denominator factor or linear extension, or a factor with its exponents
+    # swapped) must fail its target with exit 1 and name the first
+    # differing coefficient.
     original = getattr(module, name)
 
     def perturbed(*args, **kwargs):

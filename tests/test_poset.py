@@ -1,9 +1,13 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamondgf.poset import (
+    FOLD_TAG,
+    MAX_JH_SIZE,
     CycleDetected,
     DiamondSpec,
     NotNaturallyLabelled,
@@ -14,8 +18,9 @@ from diamondgf.poset import (
     jordan_holder,
     parse_poset_file,
     stanley_sigma,
+    validate_assignment,
 )
-from diamondgf.series import Poly2, RationalExpr, TruncSeries2
+from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2
 
 
 CHAIN2 = Poset(2, [(1, 2)])
@@ -203,6 +208,102 @@ def test_stanley_sigma_validates_assignment():
         stanley_sigma(CHAIN2, ("a",), 3)
     with pytest.raises(ValueError):
         stanley_sigma(CHAIN2, ("a", "q"), 3)
+
+
+def _reference_stanley_sigma(p, assignment, truncation, max_size=MAX_JH_SIZE):
+    """Stanley's formula one denominator group at a time: each group of
+    words with equal suffix monomials runs its own RationalExpr.expand."""
+    tags = validate_assignment(assignment, p.size)
+    c = p.size
+    words = jordan_holder(p, max_size)
+    groups: dict[tuple[Monomial2, ...], dict[Monomial2, int]] = {}
+    for w in words:
+        suffix: list[Monomial2] = [Monomial2(0, 0)] * c
+        count_a = count_b = 0
+        for i in range(c - 1, -1, -1):
+            if tags[w[i] - 1] == FOLD_TAG:
+                count_a += 1
+            else:
+                count_b += 1
+            suffix[i] = Monomial2(count_a, count_b)
+        numer_a = numer_b = 0
+        for j in range(1, c):
+            if w[j - 1] > w[j]:
+                numer_a += suffix[j].exp_a
+                numer_b += suffix[j].exp_b
+        key = tuple(sorted(suffix))
+        numerators = groups.setdefault(key, {})
+        mono = Monomial2(numer_a, numer_b)
+        numerators[mono] = numerators.get(mono, 0) + 1
+
+    total = TruncSeries2.zero(truncation)
+    for factors, numerators in groups.items():
+        total = total + RationalExpr(Poly2(numerators), factors).expand(truncation)
+    return total
+
+
+@st.composite
+def small_posets(draw, max_size=7):
+    """A naturally labelled poset of at most ``max_size`` elements, with
+    fold/link tags."""
+    size = draw(st.integers(1, max_size))
+    pairs = [(j, k) for k in range(2, size + 1) for j in range(1, k)]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    tags = tuple(draw(st.lists(st.sampled_from("ab"), min_size=size, max_size=size)))
+    return Poset(size, covers), tags
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets(), st.integers(0, 9))
+def test_stanley_sigma_matches_the_per_group_expansion(case, truncation):
+    # T < c cuts the denominator keys, so words whose denominators differ
+    # only past T share a group.
+    p, tags = case
+    assert stanley_sigma(p, tags, truncation) == _reference_stanley_sigma(p, tags, truncation)
+
+
+def _extension_count(p):
+    """Linear extensions counted over down-sets: the ways to reach each
+    down-set, grown one element at a time."""
+    ways = {frozenset(): 1}
+    for _ in range(p.size):
+        grown: dict[frozenset, int] = {}
+        for placed, n in ways.items():
+            for k in range(1, p.size + 1):
+                if k not in placed and p.predecessors(k) <= placed:
+                    key = placed | {k}
+                    grown[key] = grown.get(key, 0) + n
+        ways = grown
+    return sum(ways.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets())
+def test_jordan_holder_lists_every_extension_once_in_order(case):
+    p, _ = case
+    words = jordan_holder(p)
+    assert words == sorted(set(words))
+    assert len(words) == _extension_count(p)
+    for w in words:
+        assert sorted(w) == list(range(1, p.size + 1))
+        position = {element: i for i, element in enumerate(w)}
+        assert all(position[j] < position[k] for j, k in p.covers)
+
+
+def test_large_poset_keeps_down_sets_small():
+    # 1001 elements: down-sets as sets would hold about half a million entries.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        p, _ = build_diamond_poset(DiamondSpec.uniform(4, 200))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.size == 1001
+    assert retained < 4 * 2**20
+    assert p.predecessors(7) == frozenset(range(1, 7))
+    assert p.down_mask(7) == sum(1 << j for j in range(1, 7))
 
 
 def test_uniform_diamond_self_dual():
