@@ -280,8 +280,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # The oracles search one poset element per stack frame.
-        print("error: recursion too deep; use a smaller --trunc or --d", file=sys.stderr)
+        # The oracles search one poset element per stack frame; the elements
+        # of a verify target's poset follow from --trunc and --d.
+        if args.subcommand == "ppartition":
+            hint = "a smaller poset, or leave out --oracle"
+        else:
+            hint = "a smaller --trunc or --d"
+        print(f"error: recursion too deep; use {hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,6 +9,10 @@ dropped factor is 1 + O(q^{T+1}).
 
 The sigma forms and ``djsw_product`` take E_d from the recurrence
 ``djsw_recursion``; only the links-only forms enumerate (``eulerian``).
+E_d depends on d alone, so this module runs the recurrence at most once per
+d in a process and shares the result (``_descent_polynomial``); the
+recurrence itself stores nothing, so ``verify theorem1`` still compares a
+fresh run with the enumeration.
 
 Numerator substitution always happens at the polynomial level. For series
 output the substituted factors are multiplied with a total-degree bound,
@@ -19,6 +23,7 @@ parameters.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Optional
 
 from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
@@ -54,8 +59,15 @@ def _check_dm(d: int, length: int) -> None:
         raise ValueError("length must be at least 1")
 
 
+@functools.cache
+def _descent_polynomial(d: int) -> Poly2:
+    """E_d for the closed forms: ``djsw_recursion(d)``, run at most once per
+    d in a process. Callers share the result and must not mutate it."""
+    return djsw_recursion(d)
+
+
 def _sigma_numerator_factors(d: int, length: int) -> list[Poly2]:
-    em = djsw_recursion(d)
+    em = _descent_polynomial(d)
     return [
         em.substitute(Monomial2((n - 1) * d, n), Monomial2(1, 0))
         for n in range(1, length + 1)
@@ -99,7 +111,7 @@ def sigma_closed(d: int, length: int, truncation: int) -> TruncSeries2:
 
 def _multifold_numerator_factors(spec: DiamondSpec) -> list[Poly2]:
     length = spec.length
-    descent_polys = {d: djsw_recursion(d) for d in set(spec.folds)}
+    descent_polys = {d: _descent_polynomial(d) for d in set(spec.folds)}
     return [
         descent_polys[spec.folds[k - 1]].substitute(
             Monomial2(spec.omega(k), length - k + 1), Monomial2(1, 0)
@@ -198,7 +210,7 @@ def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> li
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    base = djsw_recursion(d) if base is None else base
+    base = _descent_polynomial(d) if base is None else base
     return _univariate(
         (
             base.substitute(Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1))

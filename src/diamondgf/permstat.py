@@ -14,7 +14,9 @@ ordering of the values left; the ordering's descents depend only on its
 word of ranks, so they come from a table built once per enumeration. E_d
 depends on d alone, so each d is enumerated at most once per process and
 later calls share the result; the recurrence is never cached, so every
-comparison of the two routes runs it afresh.
+comparison of the two routes runs it afresh. The closed forms in
+``diamonds`` keep their own copy of each E_d they use, which this module
+never reads.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ def stanley_sigma(
 
     # key -> (its series, the lowest degree among its terms)
     nodes = {
-        key: (TruncSeries2(truncation, numerators), min(map(sum, numerators)))
+        key: (TruncSeries2._from_terms(truncation, numerators), min(map(sum, numerators)))
         for key, numerators in groups.items()
     }
     for length in range(depth, 0, -1):

@@ -118,6 +118,17 @@ def _rows_from_terms(terms: Iterable[tuple[tuple[int, int], int]]) -> Rows:
     return rows
 
 
+def _series_rows(truncation: int, terms: Iterable[tuple[tuple[int, int], int]]) -> Rows:
+    """Series rows, row i of T - i + 1 entries, holding the sum of the terms,
+    whose exponents are nonnegative ints of total degree <= T."""
+    rows: Rows = []
+    for (i, j), coeff in terms:
+        while len(rows) <= i:
+            rows.append([0] * (truncation - len(rows) + 1))
+        rows[i][j] += coeff
+    return _trimmed(rows)
+
+
 def _term_count(rows: Rows) -> int:
     return sum(map(len, rows)) - sum(map(list.count, rows, repeat(0)))
 
@@ -431,17 +442,30 @@ class Poly2(_TermMap):
     def substitute(self, x_image: MonomialLike, y_image: MonomialLike) -> "Poly2":
         """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly.
         x -> x*b^s, y -> y shifts row i by i*s; another y_image without an a
-        adds each row as one strided slice, and one with an a places terms."""
+        adds each row as one strided slice, and one with an a writes each term
+        straight into its output row."""
         xa, xb = _as_monomial(x_image)
         ya, yb = _as_monomial(y_image)
         rows = self._rows
         if xa == yb == 1 and not ya:
             return _poly([[0] * (i * xb) + row if row else [] for i, row in enumerate(rows)])
         if ya:
-            return _poly(_rows_from_terms(
-                ((i * xa + j * ya, i * xb + j * yb), c)
-                for i, row in enumerate(rows) for j, c in enumerate(row) if c
-            ))
+            # Row i's terms land in rows i*xa, i*xa + ya, ... one apiece.
+            height = max((i * xa + (len(row) - 1) * ya for i, row in enumerate(rows) if row), default=-1) + 1
+            out = [[] for _ in range(height)]
+            for i, row in enumerate(rows):
+                r, col = i * xa, i * xb
+                for c in row:
+                    if c:
+                        target = out[r]
+                        if len(target) > col:
+                            target[col] += c
+                        else:
+                            target += [0] * (col - len(target))
+                            target.append(c)
+                    r += ya
+                    col += yb
+            return _poly(out)
         out: Rows = [[] for _ in range(xa * len(rows) - xa + 1)] if rows else []
         for i, row in enumerate(rows):
             if row:
@@ -543,7 +567,7 @@ class TruncSeries2(_TermMap):
             if mono.degree > truncation:
                 raise ValueError(f"term {mono} exceeds truncation {truncation}")
         self._truncation = truncation
-        self._rows = _padded(_rows_from_terms(collected.items()), truncation)
+        self._rows = _series_rows(truncation, collected.items())
         self._terms = collected
         self._ray = None
 
@@ -559,6 +583,12 @@ class TruncSeries2(_TermMap):
         series._terms = None
         series._ray = ray
         return series
+
+    @classmethod
+    def _from_terms(cls, truncation: int, terms: Mapping[tuple[int, int], int]) -> "TruncSeries2":
+        """A series from a map of int exponent pairs to coefficients, unchecked:
+        the exponents must be nonnegative with total degree <= T."""
+        return cls._from_rows(truncation, _series_rows(truncation, terms.items()))
 
     @classmethod
     def from_poly(cls, poly: Poly2, truncation: int) -> "TruncSeries2":
@@ -585,7 +615,7 @@ class TruncSeries2(_TermMap):
             raise AttributeError(name)
         (alpha, beta), truncation = self._ray, self._truncation
         powers = range(truncation // (alpha + beta) + 1)
-        self._rows = _padded(_rows_from_terms(((k * alpha, k * beta), 1) for k in powers), truncation)
+        self._rows = _series_rows(truncation, (((k * alpha, k * beta), 1) for k in powers))
         return self._rows
 
     def _check_compatible(self, other: "TruncSeries2") -> None:

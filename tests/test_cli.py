@@ -223,6 +223,18 @@ def test_ppartition_on_a_deep_chain(capsys, tmp_path):
     assert out.strip() == "1 + b + 2*b^2 + 3*b^3 + 5*b^4"
 
 
+def test_ppartition_deep_oracle_hint_names_its_own_inputs(capsys, tmp_path):
+    # The oracle searches one stack frame per element, so an 1100-element
+    # chain is too deep for it; ppartition has no --d to suggest.
+    lines = ["elements 1100"] + [f"cover {j} {j + 1}" for j in range(1, 1100)]
+    path = tmp_path / "deep-chain.poset"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "ppartition", str(path), "--trunc", "4", "--force", "--oracle")
+    assert (code, out) == (2, "")
+    assert err == "error: recursion too deep; use a smaller poset, or leave out --oracle\n"
+    assert "--d" not in err
+
+
 def test_ppartition_guard_and_force(capsys, tmp_path):
     lines = ["elements 13"] + [f"cover {j} {j + 1}" for j in range(1, 13)]
     path = tmp_path / "long-chain.poset"
@@ -282,8 +294,10 @@ MUTATIONS = [
     # E_3 = 1 + 2xy + 2xy^2 + x^2y^3
     (["theorem1", "--dmax", "4"], permstat, "euler_mahonian", _bump_at_d(3, 1, 1),
      {"d": 3, "monomial": [1, 1], "lhs_coefficient": "2", "rhs_coefficient": "3"}),
-    # The closed forms take E_d from the recurrence; Stanley's route does not.
-    (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "djsw_recursion",
+    # The closed forms take E_d from the recurrence, stored once per d;
+    # Stanley's route does not. The stored E_d is what they read, so its
+    # corruption reaches them whatever ran earlier in the process.
+    (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "_descent_polynomial",
      _bump_at_d(2, 1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
     (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "_multifold_denominator",
      _drop_last, {"monomial": [0, 1], "lhs": "closed", "rhs": "oracle"}),
@@ -346,6 +360,31 @@ def test_verify_detects_an_off_by_one_result(capsys, monkeypatch, argv, module, 
     assert code == 1
     assert json.loads(out) == payload
     assert _reproduce_argv(err, argv[0]) == reproduce
+
+
+def test_closed_forms_store_e_d_and_theorem1_recomputes_it(capsys, monkeypatch):
+    # The closed forms run the recurrence at most once per d in a process;
+    # verify theorem1 runs it afresh for every d it checks.
+    calls = []
+    original = permstat.djsw_recursion
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(permstat, "djsw_recursion", counted)
+    monkeypatch.setattr(diamonds, "djsw_recursion", counted)
+    diamonds._descent_polynomial.cache_clear()
+    first = diamonds.sigma_closed(3, 2, 8)
+    assert diamonds.sigma_closed(3, 2, 8) == first
+    diamonds.sigma_multifold_closed(poset.DiamondSpec((3, 3)), 8)
+    assert calls == [3]
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "theorem1", "--dmax", "3")
+    assert code == 0
+    assert calls == [1, 2, 3]
+    code, _, _ = run(capsys, "verify", "theorem1", "--dmax", "3")
+    assert calls == [1, 2, 3] * 2
 
 
 def _reproduce_argv(err, target):

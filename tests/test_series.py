@@ -438,6 +438,9 @@ def test_row_kernels_match_sparse_reference(data, truncation, flat, rising):
         # The sweep and the general product agree on the same factor.
         unmarked = TruncSeries2(truncation, g.terms)
         assert s * g == s * unmarked == unmarked * s
+    trusted = TruncSeries2._from_terms(truncation, s_terms)
+    assert_valid_term_map(trusted)
+    check(trusted, reference_sum(s_terms, {}, 1))
     check(s * t, reference_product(s_terms, t_terms, truncation))
     check(s + t, reference_sum(s_terms, t_terms, 1))
     check(s - t, reference_sum(s_terms, t_terms, -1))
