@@ -40,9 +40,9 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
-def _lift(args, guard: int, *needed: int) -> int:
-    """The guard to enforce: the default, or with --force one admitting every needed size."""
-    return max(guard, *needed) if args.force else guard
+def _lift(args, guard: int) -> int:
+    """The guard to enforce: the default, or with --force none at all."""
+    return sys.maxsize if args.force else guard
 
 
 # --- command handlers -------------------------------------------------------
@@ -65,7 +65,7 @@ def _print_coeffs(coeffs, as_json: bool) -> None:
 
 
 def _cmd_em(args) -> int:
-    max_d = _lift(args, permstat.MAX_ENUM_D, args.d)
+    max_d = _lift(args, permstat.MAX_ENUM_D)
     _print_terms(permstat.euler_mahonian(args.d, max_d), args.json, ("x", "y"))
     return EXIT_OK
 
@@ -99,7 +99,7 @@ def _cmd_sigma(args) -> int:
     else:
         length = args.M if args.M is not None else 1
         if args.schmidt:
-            max_d = _lift(args, permstat.MAX_ENUM_D, args.d)
+            max_d = _lift(args, permstat.MAX_ENUM_D)
             _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc, max_d), args.json)
             return EXIT_OK
         result = diamonds.sigma_closed(args.d, length, args.trunc)
@@ -112,24 +112,22 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    target, max_d = args.target, permstat.MAX_ENUM_D
+    target = args.target
+    max_d, max_size = _lift(args, permstat.MAX_ENUM_D), _lift(args, posets.MAX_JH_SIZE)
     if target == "theorem1":
-        report = verify.verify_theorem1(args.dmax, _lift(args, max_d, args.dmax))
+        report = verify.verify_theorem1(args.dmax, max_d)
     elif target == "main":
-        size = posets.DiamondSpec.uniform(args.d, args.M).element_count
-        limits = _lift(args, max_d, args.d), _lift(args, posets.MAX_JH_SIZE, size)
-        report = verify.verify_main(args.d, args.M, args.trunc, *limits)
+        report = verify.verify_main(args.d, args.M, args.trunc, max_d, max_size)
     elif target == "multifold":
         report = verify.verify_multifold(_parse_folds(args.folds), args.trunc)
     elif target == "schmidt":
-        report = verify.verify_schmidt(args.d, args.M, args.trunc, _lift(args, max_d, args.d))
+        report = verify.verify_schmidt(args.d, args.M, args.trunc, max_d)
     elif target == "stanley":
-        guard = _lift(args, posets.MAX_JH_SIZE, args.max_size)
-        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed, guard)
+        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed, max_size)
     elif target == "apr":
         report = verify.verify_apr(args.trunc)
     else:  # djsw-product
-        report = verify.verify_djsw_product(args.d, args.trunc, _lift(args, max_d, args.d))
+        report = verify.verify_djsw_product(args.d, args.trunc, max_d)
 
     if args.json:
         print(json.dumps(report.as_json_dict(), sort_keys=True))
@@ -159,8 +157,13 @@ def _cmd_ppartition(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    max_size = _lift(args, posets.MAX_JH_SIZE)
+    declared = posets._declared_size(text)  # read before the parser builds that many elements
+    if declared > max_size:
+        raise posets.PosetTooLarge(
+            f"poset has {declared} elements, guard is {max_size}; use --force to override"
+        )
     p, tags = posets.parse_poset_file(text)
-    max_size = _lift(args, posets.MAX_JH_SIZE, p.size)
     stanley = posets.stanley_sigma(p, tags, args.trunc, max_size)
     if not args.oracle:
         _print_terms(stanley, args.json)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import add, gt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .series import TruncSeries2, geometric_series
 
@@ -317,6 +317,27 @@ def _parse_int(token: str, lineno: int) -> int:
         raise ParseError(f"expected an integer, got '{token}'", lineno) from None
 
 
+def _directives(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line with a directive, comments dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def _declared_size(text: str) -> int:
+    """The count of the 'elements' line that opens a poset file, read with
+    no work per element, or 0 when the file opens otherwise (the parser
+    then reports it)."""
+    _, tokens = next(_directives(text), (0, []))
+    if len(tokens) == 2 and tokens[0] == "elements":
+        try:
+            return int(tokens[1])
+        except ValueError:
+            pass
+    return 0
+
+
 def parse_poset_file(text: str) -> tuple[Poset, tuple[str, ...]]:
     """Parse the line-oriented poset format.
 
@@ -329,11 +350,7 @@ def parse_poset_file(text: str) -> tuple[Poset, tuple[str, ...]]:
     size: Optional[int] = None
     covers: list[tuple[int, int]] = []
     fold_elements: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _directives(text):
         keyword = tokens[0]
         if keyword == "elements":
             if size is not None:

@@ -23,7 +23,6 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress, count, repeat, zip_longest
 from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -222,8 +221,9 @@ def _ray_quotient(rows: Rows, alpha: int, beta: int) -> Optional[Rows]:
     polynomial. q[i][j] = rows[i][j] + q[i - alpha][j - beta] is a running
     sum along each chain s, s + m, s + 2m, ..., exact iff every chain's tail
     is 0: with alpha = 0 the chains are a row's residue classes mod beta,
-    tails its last beta entries; else each row adds the row alpha above,
-    shifted by beta, and the tails are the last alpha rows."""
+    tails its last beta entries. Else the series ``_sweep`` runs on the rows
+    padded to their degree D, and q is exact iff nothing survives above
+    degree D - alpha - beta."""
     out: Rows = []
     if not alpha:
         for row in rows:
@@ -235,56 +235,12 @@ def _ray_quotient(rows: Rows, alpha: int, beta: int) -> Optional[Rows]:
             del quotient[cut:]  # an exact quotient row ends in a nonzero entry
             out.append(quotient)
         return out
-    for i, row in enumerate(rows):
-        quotient = row[:]
-        above = out[i - alpha] if i >= alpha else None
-        if above:
-            end = beta + len(above)
-            quotient += [0] * (end - len(quotient))
-            quotient[beta:end] = map(add, quotient[beta:end], above)
-        out.append(quotient)
-    if any(map(any, out[-alpha:])):
-        return None
-    return out
-
-
-def _long_division(terms: Mapping, divisor: Mapping) -> dict[Monomial2, int]:
-    """The term map of q with q * divisor == terms, or raise NonExactDivision.
-    Long division by the graded-lex leading term, whose remainder leaves a
-    heap in descending order: O(n log n) in the n monomials it ever holds."""
-    lead = max(divisor, key=_grlex)
-    lead_coeff = divisor[lead]
-    rest = [(da, db, dc) for (da, db), dc in divisor.items() if (da, db) != lead]
-    remainder: dict[tuple[int, int], int] = dict(terms)
-    heap = [(-a - b, -a) for a, b in remainder]
-    heapify(heap)
-    quotient: dict[Monomial2, int] = {}
-    while heap:
-        neg_degree, neg_a = heappop(heap)
-        top = _monomial((-neg_a, neg_a - neg_degree))
-        top_coeff = remainder.pop(top, 0)
-        if not top_coeff:
-            continue  # cancelled after it was pushed
-        if top.exp_a < lead.exp_a or top.exp_b < lead.exp_b:
-            raise NonExactDivision(f"no exact quotient: stuck at term {top}")
-        q, r = divmod(top_coeff, lead_coeff)
-        if r:
-            raise NonExactDivision(
-                f"no exact quotient: coefficient {top_coeff} not divisible by {lead_coeff}"
-            )
-        qa, qb = top.exp_a - lead.exp_a, top.exp_b - lead.exp_b
-        quotient[_monomial((qa, qb))] = q
-        # The lead term of q * divisor cancels top, which is already popped.
-        for da, db, dc in rest:
-            key = (qa + da, qb + db)
-            if key not in remainder:
-                heappush(heap, (-key[0] - key[1], -key[0]))
-            total = remainder.get(key, 0) - q * dc
-            if total:
-                remainder[key] = total
-            else:
-                del remainder[key]
-    return quotient
+    if not rows:
+        return out
+    degree = max(i + len(row) for i, row in enumerate(rows)) - 1
+    swept = _sweep(_padded(_clipped(rows, degree), degree), _monomial((alpha, beta)), degree)
+    quotient = _clipped(swept, degree - alpha - beta)
+    return quotient if _term_count(quotient) == _term_count(swept) else None
 
 
 class _TermMap:
@@ -336,7 +292,7 @@ class Poly2(_TermMap):
     holds a row of 10^6 + 1 entries, about 8 MB.
 
     >>> x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
-    >>> ((1 - y) * (1 + y + y**2)).text()
+    >>> ((1 - y) * (1 + y + y * y)).text()
     '1 + -b^3'
     >>> (1 + x * y).substitute(Monomial2(0, 1), Monomial2(1, 0)).text()
     '1 + a*b'
@@ -420,14 +376,6 @@ class Poly2(_TermMap):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly2":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers take a nonnegative integer exponent")
-        result = Poly2.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def mul_bounded(self, other: Union["Poly2", int], bound: int) -> "Poly2":
         """The product of ``*`` without its terms of total degree > bound, for
         callers that keep only lower degrees. ``other`` is a Poly2 or an int;
@@ -478,17 +426,18 @@ class Poly2(_TermMap):
         return _poly(out)
 
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
-        """Return q with q * divisor == self, or raise NonExactDivision. A
-        divisor of exactly 1 - m divides on the rows (``_ray_quotient``); any
-        other, or a remainder, takes ``_long_division``."""
+        """Return q with q * divisor == self for a divisor 1 - m, m a monomial
+        of degree >= 1, on the rows (``_ray_quotient``). A remainder raises
+        NonExactDivision, any other divisor ValueError."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         rows = divisor._rows
-        if rows[0][:1] == [1] and rows[-1][-1] == -1 and _term_count(rows) == 2:
-            quotient = _ray_quotient(self._rows, len(rows) - 1, len(rows[-1]) - 1)
-            if quotient is not None:
-                return _poly(quotient)
-        return Poly2(_long_division(self.terms, divisor.terms))
+        if not (rows[0][:1] == [1] and rows[-1][-1] == -1 and _term_count(rows) == 2):
+            raise ValueError(f"divide_exact divides only by 1 - m, not by {divisor.text()}")
+        quotient = _ray_quotient(self._rows, len(rows) - 1, len(rows[-1]) - 1)
+        if quotient is None:
+            raise NonExactDivision(f"no exact quotient by {divisor.text()}")
+        return _poly(quotient)
 
     def __repr__(self) -> str:
         return f"Poly2({self.text()})"

@@ -246,6 +246,18 @@ def test_ppartition_guard_and_force(capsys, tmp_path):
     assert out.strip() == "1 + b + 2*b^2"
 
 
+def test_ppartition_refuses_an_oversized_poset_before_building_it(capsys, tmp_path):
+    # The declared count meets the guard before the parser allocates
+    # anything per element, so a million elements cost no memory or time.
+    path = tmp_path / "huge.poset"
+    path.write_text("elements 1000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ppartition", str(path), "--trunc", "3")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "error: poset has 1000000 elements, guard is 12; use --force to override\n"
+
+
 def _bump_last(out, *args):
     return out[:-1] + [out[-1] + 1]
 

@@ -114,11 +114,10 @@ def test_recursion_invariants_without_enumeration():
     # inv, E_d(1, y) = [d]_y!; and E_d(x, 1), whose coefficients are the
     # Eulerian numbers A(d, k) = (k+1) A(d-1, k) + (d-k) A(d-1, k-1), which
     # are palindromic in k.
-    y = Poly2.monomial(0, 1)
     q_factorial = Poly2.one()
     eulerian_numbers = [1]
     for d in range(1, 26):
-        q_factorial = q_factorial * sum((y**k for k in range(d)), Poly2.zero())
+        q_factorial = q_factorial * sum((Poly2.monomial(0, k) for k in range(d)), Poly2.zero())
         padded = [0, *eulerian_numbers, 0]
         eulerian_numbers = [(k + 1) * padded[k + 1] + (d - k) * padded[k] for k in range(d)]
         if d > 12 and d not in (16, 20, 25):

@@ -18,6 +18,7 @@ from diamondgf.poset import (
     jordan_holder,
     parse_poset_file,
     stanley_sigma,
+    _declared_size,
     validate_assignment,
 )
 from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2
@@ -376,3 +377,66 @@ def test_parse_errors_carry_line_numbers():
         parse_poset_file("# nothing but comments\n")
     with pytest.raises(ParseError):
         parse_poset_file("elements 2\nelements 2\n")
+
+
+def _not_an_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+# Junk holds no whitespace or line break, so each drawn line stays one line
+# of the tokens drawn for it.
+_junk = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs")), min_size=1, max_size=4
+).filter(_not_an_int)
+# Labels run negative, through zero and past 2^64. An 'elements' count stays
+# at 64 or below: the parser builds a poset of the size it declares, with
+# work and memory per element, and only the CLI refuses a large one unread.
+_labels = st.one_of(st.integers(-3, 70), st.integers(2**64, 2**70)).map(str)
+_counts = st.integers(-3, 64).map(str)
+_comments = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+_fuzz_lines = st.one_of(
+    st.lists(st.one_of(_counts, _junk), max_size=2).map(lambda rest: ["elements", *rest]),
+    st.lists(st.one_of(_labels, _junk), max_size=3).map(lambda rest: ["cover", *rest]),
+    st.lists(st.one_of(st.sampled_from(["a", "b"]), _labels, _junk), max_size=4).map(
+        lambda rest: ["assign", *rest]
+    ),
+    st.lists(st.one_of(_labels, _junk.filter(lambda t: t != "elements")), min_size=1, max_size=3),
+)
+# Lines the grammar accepts once 'elements' admits their labels.
+_small = st.integers(1, 8)
+_sound_lines = st.one_of(
+    st.lists(_small, min_size=2, max_size=2, unique=True).map(lambda pair: ["cover", *map(str, sorted(pair))]),
+    st.lists(_small.map(str), min_size=1, max_size=3).map(lambda rest: ["assign", "a", *rest]),
+    st.just([]),
+)
+
+
+@st.composite
+def poset_texts(draw):
+    """A file that may open with an 'elements' line, then sound lines with
+    up to three fuzz lines among them, each line perhaps commented."""
+    lines = [["elements", draw(_counts)]] if draw(st.booleans()) else []
+    lines += draw(st.lists(_sound_lines, max_size=10))
+    for tokens in draw(st.lists(_fuzz_lines, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), tokens)
+    for index, tokens in enumerate(lines):
+        comment = draw(st.one_of(st.none(), _comments))
+        lines[index] = " ".join(tokens) + ("" if comment is None else f" #{comment}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poset_texts())
+def test_parser_returns_or_raises_parse_error_on_any_text(text):
+    try:
+        p, tags = parse_poset_file(text)
+    except ParseError:
+        return
+    assert len(tags) == p.size <= 64
+    # The count the CLI checks against its guard before parsing is the one
+    # the parser built.
+    assert _declared_size(text) == p.size
