@@ -160,9 +160,7 @@ def _cmd_ppartition(args) -> int:
     max_size = _lift(args, posets.MAX_JH_SIZE)
     declared = posets._declared_size(text)  # read before the parser builds that many elements
     if declared > max_size:
-        raise posets.PosetTooLarge(
-            f"poset has {declared} elements, guard is {max_size}; use --force to override"
-        )
+        raise posets.PosetTooLarge(f"poset has {declared} elements, guard is {max_size}")
     p, tags = posets.parse_poset_file(text)
     stanley = posets.stanley_sigma(p, tags, args.trunc, max_size)
     if not args.oracle:
@@ -200,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("recursion", help="print the same polynomial built by recurrence")
     rec.add_argument("--d", type=_positive, required=True)
-    rec.add_argument("--json", action="store_true")
-    rec.set_defaults(handler=_cmd_recursion)
 
     sigma = sub.add_parser("sigma", help="expand a diamond generating function")
     sigma.add_argument("--d", type=_positive)
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--oracle", action="store_true", help="also enumerate and compare")
 
     targets = (v_thm, v_main, v_multi, v_schmidt, v_stanley, v_apr, v_djsw)
-    handlers = [(em, _cmd_em), (sigma, _cmd_sigma), (pp, _cmd_ppartition)]
+    handlers = [(em, _cmd_em), (rec, _cmd_recursion), (sigma, _cmd_sigma), (pp, _cmd_ppartition)]
     for command, handler in handlers + [(target, _cmd_verify) for target in targets]:
         command.add_argument("--json", action="store_true")
         command.add_argument("--force", action="store_true", help="lift the size guards")
@@ -278,8 +274,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except (permstat.DTooLarge, posets.PosetTooLarge) as exc:
+        print(f"error: {exc}; use --force to override", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
-        # includes ParseError, PosetTooLarge and DTooLarge
+        # includes ParseError and the linear-extension budget, which --force does not lift
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

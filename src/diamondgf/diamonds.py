@@ -45,8 +45,6 @@ def _univariate(
 ) -> list[int]:
     """Coefficients of q^0..q^T of prod(numerator factors) / prod_e (1 - q^e),
     with every factor a polynomial in the second variable alone."""
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
     numerator = _product(numerator_factors, truncation)
     factors = tuple(Monomial2(0, e) for e in denominator_exponents)
     return RationalExpr(numerator, factors).expand(truncation).specialize_univariate()

@@ -107,8 +107,12 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
         return [1]
     spec = DiamondSpec.uniform(d, truncation)
     c = spec.element_count
-    # The all-zero assignment takes the search c + 1 calls deep: refuse it
-    # before building the poset, not when the search hits the limit.
+    # A size guard, not a depth bound: the search nests at most T + d + 1
+    # calls (a seal counts its 0 at once, and a 0 on a fold leaves the link
+    # above nothing, so only the folds of one block nest with a 0), but its
+    # work grows exponentially with T. A poset of more elements than the
+    # frames left under the recursion limit is refused before it is built,
+    # so that search never starts.
     depth, frame = c + 1, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back

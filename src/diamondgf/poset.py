@@ -21,6 +21,11 @@ from .series import TruncSeries2, geometric_series
 # size; pass a larger max_size to override.
 MAX_JH_SIZE = 12
 
+# The most words jordan_holder lists, whatever max_size allows: 9! = 362,880
+# (verify main --d 9 --M 1) fits, while a 12-element antichain's 12! words
+# would take tens of GiB.
+MAX_JH_WORDS = 10**6
+
 FOLD_TAG = "a"
 LINK_TAG = "b"
 
@@ -68,7 +73,7 @@ class Poset:
     about c^2 / 8 bytes of down-sets rather than c^2 / 2 set entries.
     """
 
-    __slots__ = ("size", "covers", "_down", "_lowers", "_uppers")
+    __slots__ = ("size", "covers", "_down", "_lowers")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         if size < 1:
@@ -99,22 +104,16 @@ class Poset:
                     reduced.add((j, k))
 
         lowers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
-        uppers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
         for j, k in sorted(reduced):
             lowers[k].append(j)
-            uppers[j].append(k)
 
         self.size = size
         self.covers = frozenset(reduced)
         self._down = tuple(down)
         self._lowers = {k: tuple(v) for k, v in lowers.items()}
-        self._uppers = {j: tuple(v) for j, v in uppers.items()}
 
     def lower_covers(self, k: int) -> tuple[int, ...]:
         return self._lowers[k]
-
-    def upper_covers(self, j: int) -> tuple[int, ...]:
-        return self._uppers[j]
 
     def down_mask(self, k: int) -> int:
         """All elements strictly below k, as a bitmask: bit j is set for
@@ -122,11 +121,6 @@ class Poset:
         if not 1 <= k <= self.size:
             raise KeyError(k)
         return self._down[k]
-
-    def predecessors(self, k: int) -> frozenset[int]:
-        """All elements strictly below k, built from ``down_mask`` on call."""
-        mask = self.down_mask(k)
-        return frozenset(j for j in range(1, k) if mask >> j & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
@@ -219,27 +213,32 @@ def jordan_holder(p: Poset, max_size: int = MAX_JH_SIZE) -> list[tuple[int, ...]
     and a group's next letters are found once, by int mask tests, and
     appended to all of its prefixes at once. A prefix always completes to
     some extension, so no level holds more prefixes than the answer has
-    words; the last level is one group, sorted once.
+    words; the last level is one group, sorted once. Each level is counted
+    before it is built, and a level of more than MAX_JH_WORDS words raises
+    ValueError, whatever ``max_size`` allows.
     """
     if p.size > max_size:
-        raise PosetTooLarge(
-            f"poset has {p.size} elements, guard is {max_size}; raise max_size to override"
-        )
+        raise PosetTooLarge(f"poset has {p.size} elements, guard is {max_size}")
     # (the one-letter word, its bit, the mask of its lower covers), by label
     elements = [
         ((k,), 1 << k, sum(1 << j for j in p.lower_covers(k))) for k in range(1, p.size + 1)
     ]
     level: dict[int, list[tuple[int, ...]]] = {0: [()]}
     for _ in elements:
-        longer: dict[int, list[tuple[int, ...]]] = {}
-        while level:  # each group is freed once it has grown
-            placed, prefixes = level.popitem()
+        groups = []  # (down-set, its prefixes, the letters that may follow)
+        for placed, prefixes in level.items():
             missing = ~placed
-            for letter, bit, needs in elements:
-                if bit & missing and not needs & missing:
-                    grown = map(add, prefixes, repeat(letter, len(prefixes)))
-                    longer.setdefault(placed | bit, []).extend(grown)
-        level = longer
+            letters = [(letter, bit) for letter, bit, needs in elements
+                       if bit & missing and not needs & missing]
+            groups.append((placed, prefixes, letters))
+        if sum(len(prefixes) * len(letters) for _, prefixes, letters in groups) > MAX_JH_WORDS:
+            raise ValueError(f"poset has more than {MAX_JH_WORDS} linear extensions")
+        level = {}
+        while groups:  # each group is freed once it has grown
+            placed, prefixes, letters = groups.pop()
+            for letter, bit in letters:
+                grown = map(add, prefixes, repeat(letter, len(prefixes)))
+                level.setdefault(placed | bit, []).extend(grown)
     (words,) = level.values()
     words.sort()
     return words

@@ -216,33 +216,6 @@ def _row_sum(left: Rows, right: Rows, sign: int) -> Rows:
     return out
 
 
-def _ray_quotient(rows: Rows, alpha: int, beta: int) -> Optional[Rows]:
-    """The rows of q = rows / (1 - a^alpha b^beta), or None when q is not a
-    polynomial. q[i][j] = rows[i][j] + q[i - alpha][j - beta] is a running
-    sum along each chain s, s + m, s + 2m, ..., exact iff every chain's tail
-    is 0: with alpha = 0 the chains are a row's residue classes mod beta,
-    tails its last beta entries. Else the series ``_sweep`` runs on the rows
-    padded to their degree D, and q is exact iff nothing survives above
-    degree D - alpha - beta."""
-    out: Rows = []
-    if not alpha:
-        for row in rows:
-            quotient = row[:]
-            _sweep_row(quotient, beta)
-            cut = max(len(quotient) - beta, 0)
-            if any(quotient[cut:]):
-                return None
-            del quotient[cut:]  # an exact quotient row ends in a nonzero entry
-            out.append(quotient)
-        return out
-    if not rows:
-        return out
-    degree = max(i + len(row) for i, row in enumerate(rows)) - 1
-    swept = _sweep(_padded(_clipped(rows, degree), degree), _monomial((alpha, beta)), degree)
-    quotient = _clipped(swept, degree - alpha - beta)
-    return quotient if _term_count(quotient) == _term_count(swept) else None
-
-
 class _TermMap:
     """What polynomials and truncated series share: rows, and the map from
     exponent pairs to nonzero coefficients that they give."""
@@ -287,9 +260,9 @@ class Poly2(_TermMap):
     nonzero one, with no trailing empty row. A sum costs one C-level map per
     row. A product costs one slice add per pair of a term of one factor and
     a row of the other, the cheaper way round. x -> x*y is a shift of each
-    row, and division by 1 - m a running sum per row or a row sweep. Memory
-    follows the exponents, not the term count: ``Poly2.monomial(0, 10**6)``
-    holds a row of 10^6 + 1 entries, about 8 MB.
+    row, and division by 1 - b^k a running sum per row. Memory follows the
+    exponents, not the term count: ``Poly2.monomial(0, 10**6)`` holds a row
+    of 10^6 + 1 entries, about 8 MB.
 
     >>> x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
     >>> ((1 - y) * (1 + y + y * y)).text()
@@ -307,16 +280,8 @@ class Poly2(_TermMap):
         self._terms = collected
 
     @classmethod
-    def zero(cls) -> "Poly2":
-        return _poly([])
-
-    @classmethod
     def one(cls) -> "Poly2":
         return _poly([[1]])
-
-    @classmethod
-    def constant(cls, value: int) -> "Poly2":
-        return cls({Monomial2(0, 0): value})
 
     @classmethod
     def monomial(cls, exp_a: int, exp_b: int, coeff: int = 1) -> "Poly2":
@@ -326,10 +291,6 @@ class Poly2(_TermMap):
 
     def __bool__(self) -> bool:
         return bool(self._rows)
-
-    def total_degree(self) -> int:
-        """Maximum exp_a + exp_b, or -1 for the zero polynomial."""
-        return max((i + len(row) - 1 for i, row in enumerate(self._rows) if row), default=-1)
 
     @staticmethod
     def _coerce(other) -> Optional["Poly2"]:
@@ -426,18 +387,29 @@ class Poly2(_TermMap):
         return _poly(out)
 
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
-        """Return q with q * divisor == self for a divisor 1 - m, m a monomial
-        of degree >= 1, on the rows (``_ray_quotient``). A remainder raises
-        NonExactDivision, any other divisor ValueError."""
+        """Return q with q * divisor == self for a divisor 1 - b^k, k >= 1,
+        the recurrence's only divisor. q[i][j] = self[i][j] + q[i][j - k] is
+        a running sum along each residue class mod k of each row, exact iff
+        every class's sum ends at 0, that is iff the last k entries of each
+        swept row are 0. A remainder raises NonExactDivision, any other
+        divisor ValueError."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         rows = divisor._rows
-        if not (rows[0][:1] == [1] and rows[-1][-1] == -1 and _term_count(rows) == 2):
-            raise ValueError(f"divide_exact divides only by 1 - m, not by {divisor.text()}")
-        quotient = _ray_quotient(self._rows, len(rows) - 1, len(rows[-1]) - 1)
-        if quotient is None:
-            raise NonExactDivision(f"no exact quotient by {divisor.text()}")
-        return _poly(quotient)
+        if not (len(rows) == 1 and rows[0][0] == 1 and rows[0][-1] == -1
+                and _term_count(rows) == 2):
+            raise ValueError(f"divide_exact divides only by 1 - b^k, not by {divisor.text()}")
+        step = len(rows[0]) - 1
+        out: Rows = []
+        for row in self._rows:
+            quotient = row[:]
+            _sweep_row(quotient, step)
+            cut = max(len(quotient) - step, 0)
+            if any(quotient[cut:]):
+                raise NonExactDivision(f"no exact quotient by {divisor.text()}")
+            del quotient[cut:]  # an exact quotient row ends in a nonzero entry
+            out.append(quotient)
+        return _poly(out)
 
     def __repr__(self) -> str:
         return f"Poly2({self.text()})"
@@ -521,16 +493,13 @@ class TruncSeries2(_TermMap):
         self._ray = None
 
     @classmethod
-    def _from_rows(
-        cls, truncation: int, rows: Rows, ray: Optional[Monomial2] = None
-    ) -> "TruncSeries2":
-        """Wrap series rows this module built, unchecked; ``ray`` marks the
-        series 1/(1 - ray) for the product sweep."""
+    def _from_rows(cls, truncation: int, rows: Rows) -> "TruncSeries2":
+        """Wrap series rows this module built, unchecked."""
         series = cls.__new__(cls)
         series._truncation = truncation
         series._rows = rows
         series._terms = None
-        series._ray = ray
+        series._ray = None
         return series
 
     @classmethod
@@ -549,17 +518,13 @@ class TruncSeries2(_TermMap):
     def zero(cls, truncation: int) -> "TruncSeries2":
         return cls(truncation)
 
-    @classmethod
-    def one(cls, truncation: int) -> "TruncSeries2":
-        return cls(truncation, {Monomial2(0, 0): 1})
-
     @property
     def truncation(self) -> int:
         return self._truncation
 
     def __getattr__(self, name: str):
         # Runs only for an unset slot: the rows of a geometric series, which
-        # a product with it never reads, are built on first use.
+        # a product with it on the right never reads, are built on first use.
         if name != "_rows" or self._ray is None:
             raise AttributeError(name)
         (alpha, beta), truncation = self._ray, self._truncation
@@ -595,10 +560,8 @@ class TruncSeries2(_TermMap):
             return NotImplemented
         self._check_compatible(other)
         bound = self._truncation
-        if other._ray is not None:
+        if other._ray is not None:  # callers put the geometric factor on the right
             rows = _sweep(self._rows, other._ray, bound)
-        elif self._ray is not None:
-            rows = _sweep(other._rows, self._ray, bound)
         else:
             rows = _padded(_row_product(self._rows, other._rows, bound), bound)
         return TruncSeries2._from_rows(bound, rows)
@@ -622,9 +585,10 @@ class TruncSeries2(_TermMap):
 def geometric_series(mono: MonomialLike, truncation: int) -> TruncSeries2:
     """1/(1 - m) = 1 + m + m^2 + ... through the truncation bound.
 
-    The result records m, so a product with it runs as the sweep c[i][j] +=
-    c[i - alpha][j - beta] over the other factor's rows, O(T) list operations
-    (O(sqrt T) per row when alpha = 0); its own rows are built only if read.
+    The result records m, so a product with it on the right runs as the
+    sweep c[i][j] += c[i - alpha][j - beta] over the left factor's rows, O(T)
+    list operations (O(sqrt T) per row when alpha = 0); its own rows are
+    built only if read, as by a product with it on the left.
     """
     m = _as_monomial(mono)
     if m.degree == 0:

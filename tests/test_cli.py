@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,14 @@ def test_recursion_command(capsys):
     code, out, _ = run(capsys, "recursion", "--d", "2")
     assert code == 0
     assert out.strip() == "1 + x*y"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_recursion_takes_force_like_every_subcommand(capsys, extra):
+    # The recurrence has no guard, so --force changes nothing.
+    plain = run(capsys, "recursion", "--d", "4", *extra)
+    assert plain[0] == 0 and plain[2] == ""
+    assert run(capsys, "recursion", "--d", "4", *extra, "--force") == plain
 
 
 def test_sigma_bivariate(capsys):
@@ -166,7 +176,9 @@ def test_recurrence_routes_need_no_force_past_the_enumeration_guard(capsys):
         ["verify", "djsw-product", "--d", "10", "--trunc", "4"],
     ):
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", "error: d=10 exceeds the enumeration guard 9\n")
+        assert (code, out, err) == (
+            2, "", "error: d=10 exceeds the enumeration guard 9; use --force to override\n"
+        )
 
 
 def test_verify_unknown_target(capsys):
@@ -256,6 +268,52 @@ def test_ppartition_refuses_an_oversized_poset_before_building_it(capsys, tmp_pa
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == "error: poset has 1000000 elements, guard is 12; use --force to override\n"
+
+
+def test_every_guard_refusal_names_force_once(capsys, tmp_path):
+    path = tmp_path / "long-chain.poset"
+    path.write_text("\n".join(["elements 13"] + [f"cover {j} {j + 1}" for j in range(1, 13)]) + "\n")
+    for argv in (
+        ["em", "--d", "10"],
+        ["sigma", "--d", "10", "--M", "1", "--trunc", "4", "--schmidt"],
+        ["verify", "theorem1", "--dmax", "10"],
+        ["verify", "main", "--d", "3", "--M", "10", "--trunc", "10"],
+        ["verify", "schmidt", "--d", "10"],
+        ["verify", "stanley", "--max-size", "13"],
+        ["verify", "djsw-product", "--d", "10"],
+        ["ppartition", str(path), "--trunc", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.endswith("; use --force to override\n"), argv
+        assert err.count("--force") == 1 and err.count("\n") == 1, argv
+        assert "max_size to" not in err, argv
+    code, _, err = run(capsys, "verify", "main", "--d", "3", "--M", "10", "--trunc", "10")
+    assert err == "error: poset has 41 elements, guard is 12; use --force to override\n"
+
+
+@pytest.mark.parametrize("size, force", [(13, ["--force"]), (11, [])])
+def test_ppartition_refuses_too_many_linear_extensions_whatever_the_force(
+    capsys, tmp_path, size, force
+):
+    # An antichain of c elements has c! linear extensions; the walk counts
+    # each level before building it and stops at the budget, so neither the
+    # time nor the memory grows with c!.
+    path = tmp_path / "antichain.poset"
+    path.write_text(f"elements {size}\n")
+    argv = ["ppartition", str(path), "--trunc", "1", *force]
+    start = time.perf_counter()
+    refusal = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0  # timed apart: tracemalloc slows every allocation
+    assert refusal == (2, "", f"error: poset has more than {poset.MAX_JH_WORDS} linear extensions\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv) == refusal
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _bump_last(out, *args):
@@ -454,7 +512,8 @@ def test_verify_stanley_max_size_keeps_the_extension_guard(capsys):
                              "--trunc", "4", "--seed", seed)
         assert time.monotonic() - start < 2.0
         assert (code, out) == (2, "")
-        assert err == "error: max_size=40 exceeds the linear-extension guard 12\n"
+        assert err == ("error: max_size=40 exceeds the linear-extension guard 12; "
+                       "use --force to override\n")
     code, out, _ = run(capsys, "verify", "stanley", "--count", "3", "--max-size", "13",
                        "--trunc", "4", "--seed", "1", "--force")
     assert code == 0
@@ -469,8 +528,9 @@ def _stack_depth() -> int:
 
 
 def test_deep_recursion_is_a_usage_error(capsys):
-    # The infinite-product oracle recurses 3T+1 deep for d = 2; leave room
-    # for the command itself but not for that search.
+    # The infinite-product oracle refuses a poset of more elements than the
+    # frames left, 3T + 1 for d = 2; leave room for the command itself but
+    # not for that many.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 30)
     try:
@@ -484,8 +544,9 @@ def test_deep_recursion_is_a_usage_error(capsys):
 
 
 def test_deep_oracle_search_is_refused_before_it_starts(capsys):
-    # The oracle would search 5 * 200 + 2 calls deep, past the default
-    # recursion limit; building its 1001-element poset alone takes seconds.
+    # The oracle's poset has 5 * 200 + 1 elements, more than the frames left
+    # under the default recursion limit; building it alone takes seconds,
+    # and the search would run for minutes.
     start = time.monotonic()
     code, out, err = run(capsys, "verify", "djsw-product", "--d", "4", "--trunc", "200")
     assert time.monotonic() - start < 8.0

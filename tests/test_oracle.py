@@ -29,7 +29,7 @@ def test_ppartitions_chain_pair():
 def test_ppartitions_truncation_zero():
     for p in (Poset(3, [(1, 2), (2, 3)]), Poset(4)):
         s = enumerate_ppartitions(p, ("b",) * p.size, 0)
-        assert s == TruncSeries2.one(0)
+        assert s == TruncSeries2(0, {(0, 0): 1})
 
 
 def test_ppartitions_antichain():
@@ -50,7 +50,7 @@ def test_enumerate_diamonds_two_fold_block():
 
 
 def test_enumerate_diamonds_truncation_zero():
-    assert enumerate_diamonds(DiamondSpec((3, 1)), 0) == TruncSeries2.one(0)
+    assert enumerate_diamonds(DiamondSpec((3, 1)), 0) == TruncSeries2(0, {(0, 0): 1})
 
 
 def test_infinite_univariate_values():

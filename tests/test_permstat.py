@@ -117,7 +117,7 @@ def test_recursion_invariants_without_enumeration():
     q_factorial = Poly2.one()
     eulerian_numbers = [1]
     for d in range(1, 26):
-        q_factorial = q_factorial * sum((Poly2.monomial(0, k) for k in range(d)), Poly2.zero())
+        q_factorial = q_factorial * sum((Poly2.monomial(0, k) for k in range(d)), Poly2())
         padded = [0, *eulerian_numbers, 0]
         eulerian_numbers = [(k + 1) * padded[k + 1] + (d - k) * padded[k] for k in range(d)]
         if d > 12 and d not in (16, 20, 25):

@@ -5,9 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondgf import poset
 from diamondgf.poset import (
     FOLD_TAG,
     MAX_JH_SIZE,
+    MAX_JH_WORDS,
     CycleDetected,
     DiamondSpec,
     NotNaturallyLabelled,
@@ -35,7 +37,7 @@ def _linear_sum(first, second):
     maximal elements of the first are covered by the minimal ones of the
     second, shifted up by the first's size."""
     shift = first.size
-    tops = [j for j in range(1, first.size + 1) if not first.upper_covers(j)]
+    tops = sorted({*range(1, first.size + 1)} - {j for j, _ in first.covers})
     bottoms = [k for k in range(1, second.size + 1) if not second.lower_covers(k)]
     covers = [*first.covers, *((j + shift, k + shift) for j, k in second.covers)]
     covers += [(j, k + shift) for j in tops for k in bottoms]
@@ -50,9 +52,10 @@ def _dual(p):
 def test_q_poset():
     # d elements under one top: the top's lower covers, and one upper cover each
     q3 = Poset(4, [(1, 4), (2, 4), (3, 4)])
-    assert q3.lower_covers(4) == (1, 2, 3) and q3.upper_covers(4) == ()
-    assert all(q3.upper_covers(j) == (4,) and q3.lower_covers(j) == () for j in (1, 2, 3))
-    assert Q2.predecessors(3) == frozenset({1, 2})
+    assert q3.lower_covers(4) == (1, 2, 3)
+    assert all(q3.lower_covers(j) == () for j in (1, 2, 3))
+    assert q3.covers == frozenset({(1, 4), (2, 4), (3, 4)})
+    assert Q2.down_mask(3) == 0b110  # bits 1 and 2
 
 
 def test_poset_validation():
@@ -89,7 +92,7 @@ def test_poset_and_parser_check_covers_alike(cover, error, message):
 def test_transitive_reduction():
     p = Poset(3, [(1, 2), (2, 3), (1, 3)])
     assert p.covers == frozenset({(1, 2), (2, 3)})
-    assert p.predecessors(3) == frozenset({1, 2})
+    assert p.down_mask(3) == 0b110  # bits 1 and 2
 
 
 def test_linear_sum_examples():
@@ -151,7 +154,7 @@ def test_build_diamond_poset_is_the_linear_sum_of_blocks(folds):
     assert p == reference
     for k in range(1, p.size + 1):
         assert p.lower_covers(k) == reference.lower_covers(k)
-        assert p.upper_covers(k) == reference.upper_covers(k)
+        assert p.down_mask(k) == reference.down_mask(k)
 
 
 def test_jordan_holder_examples():
@@ -177,6 +180,18 @@ def test_jordan_holder_guard():
     with pytest.raises(PosetTooLarge):
         jordan_holder(big)
     assert len(jordan_holder(big, max_size=13)) == 1
+
+
+def test_jordan_holder_word_budget(monkeypatch):
+    # The budget holds whatever max_size allows, and a level is refused
+    # before it is built: an antichain's level k holds c!/(c - k)! words.
+    assert MAX_JH_WORDS >= math.factorial(9)
+    monkeypatch.setattr(poset, "MAX_JH_WORDS", 6)
+    assert len(jordan_holder(Poset(3))) == 6
+    with pytest.raises(ValueError, match="more than 6 linear extensions") as refused:
+        jordan_holder(Poset(4), max_size=99)
+    assert type(refused.value) is ValueError
+    assert len(jordan_holder(CHAIN3)) == 1
 
 
 def test_stanley_sigma_chain():
@@ -266,13 +281,14 @@ def test_stanley_sigma_matches_the_per_group_expansion(case, truncation):
 def _extension_count(p):
     """Linear extensions counted over down-sets: the ways to reach each
     down-set, grown one element at a time."""
-    ways = {frozenset(): 1}
+    ways = {0: 1}  # bit k set for each placed k
     for _ in range(p.size):
-        grown: dict[frozenset, int] = {}
+        grown: dict[int, int] = {}
         for placed, n in ways.items():
             for k in range(1, p.size + 1):
-                if k not in placed and p.predecessors(k) <= placed:
-                    key = placed | {k}
+                below = p.down_mask(k)
+                if not placed >> k & 1 and below & placed == below:
+                    key = placed | 1 << k
                     grown[key] = grown.get(key, 0) + n
         ways = grown
     return sum(ways.values())
@@ -303,8 +319,8 @@ def test_large_poset_keeps_down_sets_small():
         tracemalloc.stop()
     assert p.size == 1001
     assert retained < 4 * 2**20
-    assert p.predecessors(7) == frozenset(range(1, 7))
     assert p.down_mask(7) == sum(1 << j for j in range(1, 7))
+    assert p.down_mask(1001) == sum(1 << j for j in range(1, 1001))
 
 
 def test_uniform_diamond_self_dual():
