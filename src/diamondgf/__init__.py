@@ -15,6 +15,7 @@ from .diamonds import (
     sigma_multifold_closed,
     sigma_multifold_rational,
     sigma_rational,
+    sigma_univariate,
 )
 from .oracle import (
     enumerate_diamonds,
@@ -89,6 +90,7 @@ __all__ = [
     "sigma_rational",
     "sigma_multifold_closed",
     "sigma_multifold_rational",
+    "sigma_univariate",
     "schmidt_closed",
     "schmidt_product",
     "apr_product",

@@ -95,19 +95,20 @@ def _cmd_sigma(args) -> int:
         if args.schmidt:
             print("error: --schmidt requires the uniform --d/--M form", file=sys.stderr)
             return EXIT_USAGE
-        result = diamonds.sigma_multifold_closed(spec, args.trunc)
     else:
         length = args.M if args.M is not None else 1
         if args.schmidt:
             max_d = _lift(args, permstat.MAX_ENUM_D)
             _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc, max_d), args.json)
             return EXIT_OK
-        result = diamonds.sigma_closed(args.d, length, args.trunc)
+        spec = posets.DiamondSpec.uniform(args.d, length)
 
     if args.a_eq_b:
-        _print_coeffs(result.specialize_univariate(), args.json)
+        _print_coeffs(diamonds.sigma_univariate(spec, args.trunc), args.json)
+    elif args.folds is not None:
+        _print_terms(diamonds.sigma_multifold_closed(spec, args.trunc), args.json)
     else:
-        _print_terms(result, args.json)
+        _print_terms(diamonds.sigma_closed(args.d, spec.length, args.trunc), args.json)
     return EXIT_OK
 
 
@@ -289,6 +290,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             hint = "a smaller --trunc or --d"
         print(f"error: recursion too deep; use {hint}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # A truncated series holds about T^2/2 coefficients, and nothing yet
+        # estimates that before allocating it.
+        hint = "a smaller --trunc" if "trunc" in vars(args) else "smaller parameters"
+        print(f"error: out of memory; use {hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -4,8 +4,9 @@
 rational forms whose numerators are substituted descent polynomials;
 ``schmidt_closed`` is the links-only weighting (first variable set to 1);
 ``apr_product`` and ``djsw_product`` are the classical infinite products,
-truncated by keeping the factors n = 1..T, which is exact because every
-dropped factor is 1 + O(q^{T+1}).
+truncated by keeping the denominator factors n = 1..T and the numerator
+factors that can reach q^T, which is exact because every dropped factor is
+1 + O(q^{T+1}).
 
 The sigma forms and ``djsw_product`` take E_d from the recurrence
 ``djsw_recursion``; only the links-only forms enumerate (``eulerian``).
@@ -14,17 +15,22 @@ d in a process and shares the result (``_descent_polynomial``); the
 recurrence itself stores nothing, so ``verify theorem1`` still compares a
 fresh run with the enumeration.
 
-Numerator substitution always happens at the polynomial level. For series
-output the substituted factors are multiplied with a total-degree bound,
-which drops only terms that could never reach a retained coefficient; the
-``*_rational`` builders keep the numerator product exact for desk-scale
-parameters.
+For series output every numerator factor is built with the truncation as
+its bound: ``Poly2.substitute`` writes no image term of total degree above
+T, the factors are multiplied with the same bound, and a factor that is the
+constant 1 is skipped. Where the images' degrees grow along the factor
+list, the list stops at the first factor that would be 1 + O(degree > T),
+a cut read from the factor's own terms (``_substituted``). The
+``*_rational`` builders substitute and multiply exactly, for desk-scale
+parameters. ``sigma_univariate`` sets a = b = q before expanding: its
+factors are univariate, so it never builds the bivariate triangle that
+``sigma_multifold_closed(...).specialize_univariate()`` expands.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
 from .poset import DiamondSpec
@@ -33,11 +39,37 @@ from .series import Monomial2, Poly2, RationalExpr, TruncSeries2
 
 def _product(factors: Iterable[Poly2], bound: Optional[int] = None) -> Poly2:
     """The exact product, or with a bound only its terms of total degree
-    <= bound."""
+    <= bound, skipping every factor that is the constant 1."""
     result = Poly2.one()
     for factor in factors:
-        result = result * factor if bound is None else result.mul_bounded(factor, bound)
+        if bound is None:
+            result = result * factor
+        elif factor != 1:
+            result = result.mul_bounded(factor, bound)
     return result
+
+
+def _substituted(
+    base: Poly2, images: Iterable[tuple[Monomial2, Monomial2]], bound: Optional[int] = None
+) -> Iterator[Poly2]:
+    """``base.substitute(x_image, y_image, bound)`` for each pair of images.
+
+    With a bound, the images' degrees must not fall along the pairs. The
+    factors then end before the first pair that sends every term of base
+    but a constant 1 past the bound: that factor, and every later one, is
+    1 + O(degree > bound). The cut reads base's own terms, not the shape
+    of E_d, so a base with a term in y alone keeps every factor, and a
+    cancellation inside one factor ends nothing early.
+    """
+    lowest: dict[int, int] = {}  # per power of x, the lowest power of y off the constant
+    for i, j in base.terms:
+        if i or j:
+            lowest[i] = min(j, lowest.get(i, j))
+    cuts = bound is not None and base.coefficient(0, 0) == 1
+    for x_image, y_image in images:
+        if cuts and all(i * x_image.degree + j * y_image.degree > bound for i, j in lowest.items()):
+            return
+        yield base.substitute(x_image, y_image, bound)
 
 
 def _univariate(
@@ -64,12 +96,9 @@ def _descent_polynomial(d: int) -> Poly2:
     return djsw_recursion(d)
 
 
-def _sigma_numerator_factors(d: int, length: int) -> list[Poly2]:
-    em = _descent_polynomial(d)
-    return [
-        em.substitute(Monomial2((n - 1) * d, n), Monomial2(1, 0))
-        for n in range(1, length + 1)
-    ]
+def _sigma_numerator_factors(d: int, length: int, bound: Optional[int] = None) -> Iterator[Poly2]:
+    images = ((Monomial2((n - 1) * d, n), Monomial2(1, 0)) for n in range(1, length + 1))
+    return _substituted(_descent_polynomial(d), images, bound)
 
 
 def _sigma_denominator(d: int, length: int) -> list[Monomial2]:
@@ -103,16 +132,15 @@ def sigma_closed(d: int, length: int, truncation: int) -> TruncSeries2:
     and link sum j.
     """
     _check_dm(d, length)
-    numerator = _product(_sigma_numerator_factors(d, length), truncation)
+    numerator = _product(_sigma_numerator_factors(d, length, truncation), truncation)
     return RationalExpr(numerator, tuple(_sigma_denominator(d, length))).expand(truncation)
 
 
-def _multifold_numerator_factors(spec: DiamondSpec) -> list[Poly2]:
+def _multifold_numerator_factors(spec: DiamondSpec, bound: Optional[int] = None) -> list[Poly2]:
     length = spec.length
-    descent_polys = {d: _descent_polynomial(d) for d in set(spec.folds)}
     return [
-        descent_polys[spec.folds[k - 1]].substitute(
-            Monomial2(spec.omega(k), length - k + 1), Monomial2(1, 0)
+        _descent_polynomial(spec.folds[k - 1]).substitute(
+            Monomial2(spec.omega(k), length - k + 1), Monomial2(1, 0), bound
         )
         for k in range(1, length + 1)
     ]
@@ -147,8 +175,37 @@ def sigma_multifold_closed(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     """The multifold diamond generating function expanded through total
     degree T. On a uniform fold sequence this agrees with ``sigma_closed``
     factor for factor."""
-    numerator = _product(_multifold_numerator_factors(spec), truncation)
+    numerator = _product(_multifold_numerator_factors(spec, truncation), truncation)
     return RationalExpr(numerator, tuple(_multifold_denominator(spec))).expand(truncation)
+
+
+def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
+    """The multifold diamond generating function with a = b = q: the
+    coefficients of q^0..q^T of
+
+        prod_{k=1..M} E_{d_k}(q^{w_k+M-k+1}, q)
+        ---------------------------------------------------------------
+        (1 - q^{w_0+M+1}) prod_{k=1..M} prod_{j=0..d_k} (1 - q^{w_k+d_k-j+M-k+1})
+
+    The variables meet before anything is expanded, so this equals
+    ``sigma_multifold_closed(spec, T).specialize_univariate()`` at the cost
+    of univariate series.
+    """
+    length, omega = spec.length, spec.omega
+    blocks = list(enumerate(spec.folds, 1))
+    return _univariate(
+        (
+            _descent_polynomial(d_k).substitute(
+                Monomial2(0, omega(k) + length - k + 1), Monomial2(0, 1), truncation
+            )
+            for k, d_k in blocks
+        ),
+        [
+            omega(0) + length + 1,
+            *(omega(k) + d_k - j + length - k + 1 for k, d_k in blocks for j in range(d_k + 1)),
+        ],
+        truncation,
+    )
 
 
 def schmidt_closed(
@@ -161,9 +218,9 @@ def schmidt_closed(
     (1 - q^{M+1}) prod_n (1 - q^n)^{d+1}.
     """
     _check_dm(d, length)
-    descent_poly = eulerian(d, max_d)
+    images = ((Monomial2(0, n), Monomial2(0, 0)) for n in range(1, length + 1))
     return _univariate(
-        (descent_poly.substitute(Monomial2(0, n), Monomial2(0, 0)) for n in range(1, length + 1)),
+        _substituted(eulerian(d, max_d), images, truncation),
         [length + 1, *(n for n in range(1, length + 1) for _ in range(d + 1))],
         truncation,
     )
@@ -174,12 +231,9 @@ def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[in
     truncated by keeping factors n = 1..T."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    descent_poly = eulerian(d, max_d)
+    images = ((Monomial2(0, n), Monomial2(0, 0)) for n in range(1, truncation + 1))
     return _univariate(
-        (
-            descent_poly.substitute(Monomial2(0, n), Monomial2(0, 0))
-            for n in range(1, truncation + 1)
-        ),
+        _substituted(eulerian(d, max_d), images, truncation),
         (n for n in range(1, truncation + 1) for _ in range(d + 1)),
         truncation,
     )
@@ -187,11 +241,12 @@ def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[in
 
 def apr_product(truncation: int) -> list[int]:
     """The plane partition diamond product prod_{n>=1} (1 + q^{3n-1})/(1 - q^n),
-    truncated by keeping factors n = 1..T."""
+    truncated by keeping the denominator factors n = 1..T and the numerator
+    factors with 3n - 1 <= T."""
     return _univariate(
         (
             Poly2({Monomial2(0, 0): 1, Monomial2(0, 3 * n - 1): 1})
-            for n in range(1, truncation + 1)
+            for n in range(1, (truncation + 1) // 3 + 1)
         ),
         range(1, truncation + 1),
         truncation,
@@ -200,20 +255,20 @@ def apr_product(truncation: int) -> list[int]:
 
 def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> list[int]:
     """The d-fold diamond product prod_{n>=1} F_d(q^{(n-1)(d+1)+1}, q)/(1-q^n),
-    truncated by keeping factors n = 1..T.
+    truncated by keeping the denominator factors n = 1..T and the numerator
+    factors that can reach q^T.
 
     F_d comes from the recurrence unless ``base`` supplies the descent
     polynomial, such as the enumerated E_d, which must give the same
-    coefficients.
+    coefficients. The numerator cut reads the terms of whichever base is
+    used, so a corrupted base is cut by the same rule.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     base = _descent_polynomial(d) if base is None else base
+    images = ((Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1)) for n in range(1, truncation + 1))
     return _univariate(
-        (
-            base.substitute(Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1))
-            for n in range(1, truncation + 1)
-        ),
+        _substituted(base, images, truncation),
         range(1, truncation + 1),
         truncation,
     )

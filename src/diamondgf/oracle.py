@@ -112,12 +112,16 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
     # above nothing, so only the folds of one block nest with a 0), but its
     # work grows exponentially with T. A poset of more elements than the
     # frames left under the recursion limit is refused before it is built,
-    # so that search never starts.
-    depth, frame = c + 1, sys._getframe()
+    # so that search never starts. ``left`` keeps two frames back from the
+    # limit: one for the call past the last element, and one to spare.
+    left, frame = sys.getrecursionlimit() - 2, sys._getframe()
     while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    if depth >= sys.getrecursionlimit():
-        raise RecursionError(f"the search needs {c + 1} nested calls, past the recursion limit")
+        left, frame = left - 1, frame.f_back
+    if c > left:
+        raise RecursionError(
+            f"the poset has {c} elements, more than the {left} frames left under the "
+            "recursion limit; a search that size is refused before it starts"
+        )
     poset, _ = build_diamond_poset(spec)
     lowers = [()] + [poset.lower_covers(k) for k in range(1, c + 1)]
     # Values decrease upward, so 0 on an element below every later element

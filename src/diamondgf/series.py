@@ -348,14 +348,31 @@ class Poly2(_TermMap):
             raise TypeError(f"mul_bounded takes an int bound, not {type(bound).__name__}")
         return _poly(_row_product(self._rows, coerced._rows, bound))
 
-    def substitute(self, x_image: MonomialLike, y_image: MonomialLike) -> "Poly2":
+    def substitute(
+        self, x_image: MonomialLike, y_image: MonomialLike, bound: Optional[int] = None
+    ) -> "Poly2":
         """Map each term x^i y^j to x_image^i * y_image^j, recollected exactly.
-        x -> x*b^s, y -> y shifts row i by i*s; another y_image without an a
-        adds each row as one strided slice, and one with an a writes each term
-        straight into its output row."""
+        With a bound, as in ``mul_bounded``, no image of total degree > bound
+        is written, so the result is the exact one without those terms; each
+        row is cut before its first such term. x -> x*b^s, y -> y shifts row
+        i by i*s; another y_image without an a adds each row as one strided
+        slice, and one with an a writes each term straight into its output
+        row. A bound that is not an int raises TypeError."""
         xa, xb = _as_monomial(x_image)
         ya, yb = _as_monomial(y_image)
         rows = self._rows
+        if bound is None:
+            bound = _UNBOUNDED
+        elif not isinstance(bound, int):
+            raise TypeError(f"substitute takes an int bound, not {type(bound).__name__}")
+        if bound != _UNBOUNDED:
+            # Row i keeps its terms j with i*deg(x_image) + j*deg(y_image) <= bound.
+            x_degree, y_degree = xa + xb, ya + yb
+            rows = [
+                [] if i * x_degree > bound
+                else row[:(bound - i * x_degree) // y_degree + 1] if y_degree else row
+                for i, row in enumerate(rows)
+            ]
         if xa == yb == 1 and not ya:
             return _poly([[0] * (i * xb) + row if row else [] for i, row in enumerate(rows)])
         if ya:

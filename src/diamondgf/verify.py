@@ -225,14 +225,15 @@ def verify_stanley(
 @_timed
 def verify_apr(truncation: int) -> VerifyReport:
     """The plane partition diamond product against enumeration and against
-    the d = 2 closed form at lengths M = T and M = T + 1."""
+    the d = 2 closed form, with a = b set before expanding, at lengths
+    M = T and M = T + 1."""
     # Length M >= T stabilises every coefficient through q^T; M must also be
     # at least 1, which T = 0 alone would not give.
     length = max(truncation, 1)
     product = diamonds.apr_product(truncation)
     enumerated = oracle.enumerate_infinite_univariate(2, truncation)
-    stabilized = diamonds.sigma_closed(2, length, truncation).specialize_univariate()
-    recheck = diamonds.sigma_closed(2, length + 1, truncation).specialize_univariate()
+    stabilized = diamonds.sigma_univariate(posets.DiamondSpec.uniform(2, length), truncation)
+    recheck = diamonds.sigma_univariate(posets.DiamondSpec.uniform(2, length + 1), truncation)
     report = VerifyReport("verify apr", {"trunc": truncation})
     report.compare("product", product, "oracle", enumerated)
     report.compare("product", product, "closed(M=T)", stabilized)

@@ -78,6 +78,43 @@ def test_sigma_specialized(capsys):
     assert out.strip() == "1, 1, 3, 4, 7"
 
 
+@pytest.mark.parametrize(
+    "shape, bivariate",
+    [
+        (("--d", "2", "--M", "12"), lambda t: diamonds.sigma_closed(2, 12, t)),
+        (("--d", "3"), lambda t: diamonds.sigma_closed(3, 1, t)),
+        (("--folds", "3,1,2"), lambda t: diamonds.sigma_multifold_closed(poset.DiamondSpec((3, 1, 2)), t)),
+    ],
+    ids=["uniform", "default-M", "folds"],
+)
+def test_sigma_a_eq_b_prints_the_specialized_bivariate_form(capsys, shape, bivariate):
+    expected = bivariate(30).specialize_univariate()
+    code, out, err = run(capsys, "sigma", *shape, "--trunc", "30", "--a-eq-b")
+    assert (code, err) == (0, "")
+    assert out == ", ".join(map(str, expected)) + "\n"
+    code, out, _ = run(capsys, "sigma", *shape, "--trunc", "30", "--a-eq-b", "--json")
+    assert code == 0
+    assert json.loads(out) == {"truncation": 30, "coefficients": [str(c) for c in expected]}
+
+
+def test_sigma_a_eq_b_never_expands_the_bivariate_triangle(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the a = b route expanded a bivariate series")
+
+    monkeypatch.setattr(diamonds, "sigma_closed", refuse)
+    monkeypatch.setattr(diamonds, "sigma_multifold_closed", refuse)
+    start = time.monotonic()
+    code, out, err = run(capsys, "sigma", "--d", "2", "--M", "60", "--trunc", "400", "--a-eq-b")
+    elapsed = time.monotonic() - start
+    assert (code, err) == (0, "")
+    coeffs = [int(c) for c in out.split(", ")]
+    assert len(coeffs) == 401
+    # A diamond of sum n <= M fits in its first n blocks, so through q^M the
+    # length-M counts are the infinite product's.
+    assert coeffs[:61] == diamonds.apr_product(60)
+    assert elapsed < 0.5, f"{elapsed:.2f} s"
+
+
 def test_sigma_schmidt(capsys):
     code, out, _ = run(
         capsys, "sigma", "--d", "1", "--M", "1", "--trunc", "2", "--schmidt"
@@ -541,6 +578,27 @@ def test_deep_recursion_is_a_usage_error(capsys):
     assert err.startswith("error: recursion too deep")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (("sigma", "--d", "1", "--M", "1", "--trunc", "100000"), "use a smaller --trunc"),
+        (("verify", "theorem1", "--dmax", "3"), "use smaller parameters"),
+    ],
+)
+def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, hint):
+    # The rows of a large truncation outgrow memory before anything checks
+    # their size; the command says so in one line instead of a traceback.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(diamonds, "sigma_closed", exhausted)
+    monkeypatch.setattr(permstat, "djsw_recursion", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: out of memory; {hint}\n"
+    assert out == ""
 
 
 def test_deep_oracle_search_is_refused_before_it_starts(capsys):

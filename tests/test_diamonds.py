@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondgf import diamonds
 from diamondgf.diamonds import (
     apr_product,
     djsw_product,
@@ -10,13 +11,14 @@ from diamondgf.diamonds import (
     sigma_multifold_closed,
     sigma_multifold_rational,
     sigma_rational,
+    sigma_univariate,
 )
 from diamondgf.oracle import (
     enumerate_diamonds,
     enumerate_infinite_univariate,
     schmidt_oracle,
 )
-from diamondgf.permstat import DTooLarge, euler_mahonian
+from diamondgf.permstat import DTooLarge, djsw_recursion, euler_mahonian
 from diamondgf.poset import DiamondSpec, build_diamond_poset, stanley_sigma
 from diamondgf.series import Monomial2, Poly2, RationalExpr
 from diamondgf.verify import verify_djsw_product
@@ -217,3 +219,116 @@ def test_djsw_product_guard():
     # The enumerated side of the cross-check keeps the d <= 9 guard.
     with pytest.raises(DTooLarge):
         verify_djsw_product(10, 4)
+
+
+# --- truncation cuts ----------------------------------------------------------
+
+
+def univariate_reference(numerators, denominator_exponents, truncation):
+    """prod(numerators) / prod_e (1 - q^e) through q^T by plain list
+    arithmetic; each numerator is a map from powers of q to coefficients."""
+    coeffs = [1] + [0] * truncation
+    for factor in numerators:
+        product = [0] * (truncation + 1)
+        for power, c in factor.items():
+            for n in range(truncation + 1 - power):
+                product[n + power] += c * coeffs[n]
+        coeffs = product
+    for e in denominator_exponents:
+        for n in range(e, truncation + 1):
+            coeffs[n] += coeffs[n - e]
+    return coeffs
+
+
+def univariate_image(base, x_power, y_power):
+    """base(q^x_power, q^y_power) as a map from powers of q to coefficients."""
+    out = {}
+    for (i, j), c in base.terms.items():
+        out[i * x_power + j * y_power] = out.get(i * x_power + j * y_power, 0) + c
+    return out
+
+
+def djsw_reference(d, truncation, base):
+    """The djsw product with every numerator factor n = 1..T kept."""
+    numerators = [univariate_image(base, (n - 1) * (d + 1) + 1, 1) for n in range(1, truncation + 1)]
+    return univariate_reference(numerators, range(1, truncation + 1), truncation)
+
+
+@pytest.mark.parametrize("truncation", [2, 5, 8, 11, 20])
+def test_apr_product_keeps_the_factor_whose_term_lands_on_q_to_the_t(truncation):
+    # T = 2 mod 3: the last factor kept, n = (T + 1)/3, is 1 + q^T exactly.
+    last = (truncation + 1) // 3
+    assert 3 * last - 1 == truncation
+    factors = [{0: 1, 3 * n - 1: 1} for n in range(1, truncation + 1)]
+    denominators = range(1, truncation + 1)
+    assert apr_product(truncation) == univariate_reference(factors, denominators, truncation)
+    without_last = univariate_reference(factors[: last - 1], denominators, truncation)
+    assert apr_product(truncation)[truncation] == without_last[truncation] + 1
+
+
+@pytest.mark.parametrize("d, last", [(2, 3), (3, 2), (4, 3), (5, 2)])
+def test_djsw_product_keeps_the_factor_whose_lowest_term_is_q_to_the_t(d, last):
+    # Factor n's lowest non-constant term is x*y -> q^{(n-1)(d+1)+2}.
+    truncation = (last - 1) * (d + 1) + 2
+    base = djsw_recursion(d)
+    assert djsw_product(d, truncation) == djsw_reference(d, truncation, base)
+    images = ((Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1)) for n in range(1, truncation + 1))
+    assert len(list(diamonds._substituted(base, images, truncation))) == last
+    if d <= 3:
+        assert djsw_product(d, truncation) == enumerate_infinite_univariate(d, truncation)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        djsw_recursion(2) + Poly2.monomial(0, 3),  # a term in y alone reaches q^3 in every factor
+        Poly2({(0, 0): 1, (1, 0): 1, (0, 1): -1}),  # 1 + x - y: factor 1 cancels to 1, factor 2 does not
+        Poly2({(0, 0): 2, (1, 1): 1}),  # a constant term other than 1
+    ],
+    ids=["pure-y-term", "cancelling", "constant-2"],
+)
+def test_djsw_product_cut_reads_the_base_terms(base):
+    # Each base keeps every factor: a term in y alone reaches q^T in all of
+    # them, and a constant other than 1 is never dropped.
+    truncation = 12
+    assert djsw_product(2, truncation, base=base) == djsw_reference(2, truncation, base)
+    assert djsw_product(2, truncation, base=base) != djsw_product(2, truncation)
+    images = [(Monomial2(0, 3 * n - 2), Monomial2(0, 1)) for n in range(1, truncation + 1)]
+    assert len(list(diamonds._substituted(base, images, truncation))) == truncation
+
+
+def test_sigma_closed_with_more_blocks_than_the_truncation_reaches():
+    # d = 2: factor n's lowest term a^{2n-1} b^n has degree 3n - 1, so at
+    # T = 8 factor 3 is the last one kept, and blocks 4 and 5 add only
+    # denominator factors.
+    d, length, truncation = 2, 5, 8
+    assert len(list(diamonds._sigma_numerator_factors(d, length, truncation))) == 3
+    assert len(list(diamonds._sigma_numerator_factors(d, length))) == length
+    closed = sigma_closed(d, length, truncation)
+    assert closed == sigma_rational(d, length).expand(truncation)
+    assert closed == enumerate_diamonds(DiamondSpec.uniform(d, length), truncation)
+
+
+def test_schmidt_closed_with_more_blocks_than_the_truncation_reaches():
+    # Factor n, E_d(q^n, 1), is 1 + O(q^n), so factors past n = T are cut.
+    assert schmidt_closed(2, 9, 5) == schmidt_oracle(2, 9, 5)
+    assert schmidt_closed(3, 6, 6) == schmidt_oracle(3, 6, 6)
+
+
+# --- the a = b route ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 16))
+def test_sigma_univariate_matches_the_specialized_bivariate_form(folds, truncation):
+    spec = DiamondSpec(folds)
+    expected = sigma_multifold_closed(spec, truncation).specialize_univariate()
+    assert sigma_univariate(spec, truncation) == expected
+
+
+def test_sigma_univariate_examples():
+    # (1 + q^2)/((1-q)(1-q^2)(1-q^3)(1-q^4)), as in the two-fold block above
+    assert sigma_univariate(DiamondSpec.uniform(2, 1), 4) == [1, 1, 3, 4, 7]
+    assert sigma_univariate(DiamondSpec.uniform(2, 1), 0) == [1]
+    for length in (8, 9):
+        assert sigma_univariate(DiamondSpec.uniform(2, length), 8) == apr_product(8)

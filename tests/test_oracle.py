@@ -1,5 +1,7 @@
 import gc
 import itertools
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,3 +193,28 @@ def test_searches_leave_no_reference_cycles(search):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_infinite_oracle_refuses_a_poset_larger_than_the_frames_left():
+    # The guard limits the poset's size, not the search's depth, and says so:
+    # a length-12 2-fold diamond has 37 elements, more than the 30 or so
+    # frames this limit leaves, and no search starts.
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        with pytest.raises(RecursionError) as caught:
+            enumerate_infinite_univariate(2, 12)
+    finally:
+        sys.setrecursionlimit(limit)
+    message = str(caught.value)
+    match = re.fullmatch(
+        r"the poset has 37 elements, more than the (\d+) frames left under the recursion "
+        r"limit; a search that size is refused before it starts",
+        message,
+    )
+    assert match, message
+    assert int(match.group(1)) < 37
+    assert "nested calls" not in message

@@ -442,6 +442,43 @@ def test_row_kernels_match_independent_references(data, operands):
         assert dividend.divide_exact(divisor).terms == expected.terms
 
 
+# Image pairs for each substitute path: the recurrence's row shift
+# x -> x*b^s, y -> y; a y image without an a; and any pair at all.
+image_pairs = st.one_of(
+    st.tuples(st.tuples(st.just(1), st.integers(0, 3)), st.just((0, 1))),
+    st.tuples(exponents, st.tuples(st.just(0), st.integers(0, 6))),
+    st.tuples(exponents, exponents),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.one_of(polys, row_shaped_operands().map(lambda ops: ops[0])), image_pairs)
+def test_bounded_substitute_is_the_full_image_cut_at_the_bound(data, p, images):
+    full = p.substitute(*images)
+    bound = data.draw(st.integers(-2, max((sum(m) for m in full.terms), default=0) + 1))
+    bounded = p.substitute(*images, bound)
+    assert_valid_term_map(bounded)
+    assert bounded == Poly2({m: c for m, c in full.terms.items() if m.degree <= bound})
+    assert p.substitute(*images, bound=None) == full
+
+
+def test_bounded_substitute_examples():
+    e3 = Poly2({(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1})  # E_3(x, y)
+    # x -> b^3, y -> b: 1 + 2b^4 + 2b^5 + b^9, cut at 5 and at 4.
+    assert e3.substitute((0, 3), (0, 1), 5) == Poly2({(0, 0): 1, (0, 4): 2, (0, 5): 2})
+    assert e3.substitute((0, 3), (0, 1), 4) == Poly2({(0, 0): 1, (0, 4): 2})
+    assert e3.substitute((0, 3), (0, 1), 3) == ONE
+    assert e3.substitute((0, 3), (0, 1), -1) == Poly2()
+    # A cancellation below the bound still cancels.
+    assert (X - Y).substitute((0, 1), (0, 1), 1) == Poly2()
+
+
+@pytest.mark.parametrize("bound", [5.0, "5"])
+def test_substitute_rejects_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(TypeError, match="int bound"):
+        X.substitute((0, 1), (1, 0), bound)
+
+
 def reference_geometric(ray, truncation):
     alpha, beta = ray
     return {(k * alpha, k * beta): 1 for k in range(truncation // (alpha + beta) + 1)}
