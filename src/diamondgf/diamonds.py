@@ -1,8 +1,13 @@
 """Closed-form generating functions for partition diamonds.
 
-``sigma_closed`` and ``sigma_multifold_closed`` expand the bivariate
-rational forms whose numerators are substituted descent polynomials;
-``schmidt_closed`` is the links-only weighting (first variable set to 1);
+Every truncated closed form reads one factor list, the multifold one
+(``_multifold_factors``), through a monomial map applied before anything
+is expanded: the identity gives ``sigma_multifold_closed`` (and
+``sigma_closed``, its uniform case); (i, j) -> (0, i + j) gives
+``sigma_univariate``, the a = b series; (i, j) -> (0, j) gives
+``schmidt_closed``, the links-only weighting. ``sigma_rational`` writes
+the uniform form apart from that list, as the exact reference that
+``verify multifold`` compares a uniform fold sequence with.
 ``apr_product`` and ``djsw_product`` are the classical infinite products,
 truncated by keeping the denominator factors n = 1..T and the numerator
 factors that can reach q^T, which is exact because every dropped factor is
@@ -18,19 +23,19 @@ fresh run with the enumeration.
 For series output every numerator factor is built with the truncation as
 its bound: ``Poly2.substitute`` writes no image term of total degree above
 T, the factors are multiplied with the same bound, and a factor that is the
-constant 1 is skipped. Where the images' degrees grow along the factor
-list, the list stops at the first factor that would be 1 + O(degree > T),
+constant 1 is skipped, so the closed forms' factors past T cost one cut
+substitution each. The product lists of ``schmidt_product`` and
+``djsw_product`` stop at the first factor that would be 1 + O(degree > T),
 a cut read from the factor's own terms (``_substituted``). The
 ``*_rational`` builders substitute and multiply exactly, for desk-scale
-parameters. ``sigma_univariate`` sets a = b = q before expanding: its
-factors are univariate, so it never builds the bivariate triangle that
+parameters. ``sigma_univariate`` never builds the bivariate triangle that
 ``sigma_multifold_closed(...).specialize_univariate()`` expands.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
 from .poset import DiamondSpec
@@ -96,17 +101,28 @@ def _descent_polynomial(d: int) -> Poly2:
     return djsw_recursion(d)
 
 
-def _sigma_numerator_factors(d: int, length: int, bound: Optional[int] = None) -> Iterator[Poly2]:
-    images = ((Monomial2((n - 1) * d, n), Monomial2(1, 0)) for n in range(1, length + 1))
-    return _substituted(_descent_polynomial(d), images, bound)
-
-
-def _sigma_denominator(d: int, length: int) -> list[Monomial2]:
-    factors = [Monomial2(length * d, length + 1)]
-    factors.extend(
-        Monomial2(n * d - j, n) for n in range(1, length + 1) for j in range(d + 1)
-    )
-    return factors
+def _multifold_factors(
+    spec: DiamondSpec,
+    base: Callable[[int], Poly2],
+    image: Callable[[Monomial2], Monomial2] = lambda m: m,
+    bound: Optional[int] = None,
+) -> tuple[list[Poly2], list[Monomial2]]:
+    """The numerator factors and denominator monomials of
+    ``sigma_multifold_rational``'s form, with ``base(d_k)`` for E_{d_k} and
+    every monomial, a included, sent through ``image``. The blocks are
+    walked top block first, keeping the running fold count w_k, so degrees
+    rise along both lists. Each numerator factor is substituted with
+    ``bound``, so one whose terms all land past it, bar a constant 1, comes
+    out as 1."""
+    y_image = image(Monomial2(1, 0))
+    numerators: list[Poly2] = []
+    denominator: list[Monomial2] = []
+    above = 0
+    for n, d_k in enumerate(reversed(spec.folds), 1):  # n = M - k + 1
+        numerators.append(base(d_k).substitute(image(Monomial2(above, n)), y_image, bound))
+        denominator.extend(image(Monomial2(above + d_k - j, n)) for j in range(d_k + 1))
+        above += d_k
+    return numerators, [image(Monomial2(above, spec.length + 1)), *denominator]
 
 
 def sigma_rational(d: int, length: int) -> RationalExpr:
@@ -118,43 +134,28 @@ def sigma_rational(d: int, length: int) -> RationalExpr:
 
     where E_d is the bivariate descent polynomial. The numerator product is
     expanded exactly, so keep M at desk scale here; use ``sigma_closed``
-    for large truncated expansions.
+    for large truncated expansions. It is written apart from the multifold
+    factor list that ``sigma_closed`` reads, as the reference of
+    ``verify multifold``.
     """
     _check_dm(d, length)
-    numerator = _product(_sigma_numerator_factors(d, length))
-    return RationalExpr(numerator, tuple(_sigma_denominator(d, length)))
+    e_d = _descent_polynomial(d)
+    numerator = _product(
+        e_d.substitute(Monomial2((n - 1) * d, n), Monomial2(1, 0)) for n in range(1, length + 1)
+    )
+    denominator = [Monomial2(length * d, length + 1)]
+    denominator.extend(Monomial2(n * d - j, n) for n in range(1, length + 1) for j in range(d + 1))
+    return RationalExpr(numerator, tuple(denominator))
 
 
 def sigma_closed(d: int, length: int, truncation: int) -> TruncSeries2:
     """The diamond generating function expanded through total degree T.
 
     Coefficient of a^i b^j counts length-M d-fold diamonds with fold sum i
-    and link sum j.
+    and link sum j. This is the multifold form on M blocks of d folds.
     """
     _check_dm(d, length)
-    numerator = _product(_sigma_numerator_factors(d, length, truncation), truncation)
-    return RationalExpr(numerator, tuple(_sigma_denominator(d, length))).expand(truncation)
-
-
-def _multifold_numerator_factors(spec: DiamondSpec, bound: Optional[int] = None) -> list[Poly2]:
-    length = spec.length
-    return [
-        _descent_polynomial(spec.folds[k - 1]).substitute(
-            Monomial2(spec.omega(k), length - k + 1), Monomial2(1, 0), bound
-        )
-        for k in range(1, length + 1)
-    ]
-
-
-def _multifold_denominator(spec: DiamondSpec) -> list[Monomial2]:
-    length = spec.length
-    factors = [Monomial2(spec.omega(0), length + 1)]
-    for k in range(1, length + 1):
-        d_k = spec.folds[k - 1]
-        factors.extend(
-            Monomial2(spec.omega(k) + d_k - j, length - k + 1) for j in range(d_k + 1)
-        )
-    return factors
+    return sigma_multifold_closed(DiamondSpec.uniform(d, length), truncation)
 
 
 def sigma_multifold_rational(spec: DiamondSpec) -> RationalExpr:
@@ -167,16 +168,17 @@ def sigma_multifold_rational(spec: DiamondSpec) -> RationalExpr:
 
     with w_k the number of folds strictly above block k.
     """
-    numerator = _product(_multifold_numerator_factors(spec))
-    return RationalExpr(numerator, tuple(_multifold_denominator(spec)))
+    numerators, denominator = _multifold_factors(spec, _descent_polynomial)
+    return RationalExpr(_product(numerators), tuple(denominator))
 
 
 def sigma_multifold_closed(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     """The multifold diamond generating function expanded through total
-    degree T. On a uniform fold sequence this agrees with ``sigma_closed``
-    factor for factor."""
-    numerator = _product(_multifold_numerator_factors(spec, truncation), truncation)
-    return RationalExpr(numerator, tuple(_multifold_denominator(spec))).expand(truncation)
+    degree T: ``sigma_multifold_rational``'s factors, each numerator factor
+    and their product cut at T. ``sigma_closed`` is this form on a uniform
+    fold sequence."""
+    numerators, denominator = _multifold_factors(spec, _descent_polynomial, bound=truncation)
+    return RationalExpr(_product(numerators, truncation), tuple(denominator)).expand(truncation)
 
 
 def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
@@ -191,21 +193,10 @@ def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
     ``sigma_multifold_closed(spec, T).specialize_univariate()`` at the cost
     of univariate series.
     """
-    length, omega = spec.length, spec.omega
-    blocks = list(enumerate(spec.folds, 1))
-    return _univariate(
-        (
-            _descent_polynomial(d_k).substitute(
-                Monomial2(0, omega(k) + length - k + 1), Monomial2(0, 1), truncation
-            )
-            for k, d_k in blocks
-        ),
-        [
-            omega(0) + length + 1,
-            *(omega(k) + d_k - j + length - k + 1 for k, d_k in blocks for j in range(d_k + 1)),
-        ],
-        truncation,
+    numerators, denominator = _multifold_factors(
+        spec, _descent_polynomial, lambda m: Monomial2(0, m.degree), truncation
     )
+    return _univariate(numerators, (m.exp_b for m in denominator), truncation)
 
 
 def schmidt_closed(
@@ -218,12 +209,11 @@ def schmidt_closed(
     (1 - q^{M+1}) prod_n (1 - q^n)^{d+1}.
     """
     _check_dm(d, length)
-    images = ((Monomial2(0, n), Monomial2(0, 0)) for n in range(1, length + 1))
-    return _univariate(
-        _substituted(eulerian(d, max_d), images, truncation),
-        [length + 1, *(n for n in range(1, length + 1) for _ in range(d + 1))],
-        truncation,
+    e_d = eulerian(d, max_d)
+    numerators, denominator = _multifold_factors(
+        DiamondSpec.uniform(d, length), lambda _: e_d, lambda m: Monomial2(0, m.exp_b), truncation
     )
+    return _univariate(numerators, (m.exp_b for m in denominator), truncation)
 
 
 def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
-from operator import add, gt
+from operator import add, gt, index
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .series import TruncSeries2, geometric_series
@@ -80,7 +80,7 @@ class Poset:
             raise ValueError("a poset needs at least one element")
         raw: set[tuple[int, int]] = set()
         for pair in covers:
-            j, k = int(pair[0]), int(pair[1])
+            j, k = index(pair[0]), index(pair[1])
             _check_cover(j, k, size)
             raw.add((j, k))
 
@@ -141,7 +141,7 @@ class DiamondSpec:
     folds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        folds = tuple(int(d) for d in self.folds)
+        folds = tuple(map(index, self.folds))
         if not folds:
             raise ValueError("a diamond needs at least one block")
         if any(d < 1 for d in folds):
@@ -161,13 +161,6 @@ class DiamondSpec:
     @property
     def element_count(self) -> int:
         return self.length + 1 + sum(self.folds)
-
-    def omega(self, k: int) -> int:
-        """Total folds strictly above block k: omega(0) counts all folds,
-        omega(length) is 0."""
-        if not 0 <= k <= self.length:
-            raise ValueError(f"block index {k} out of range 0..{self.length}")
-        return sum(self.folds[k:])
 
 
 def build_diamond_poset(spec: DiamondSpec) -> tuple[Poset, tuple[str, ...]]:

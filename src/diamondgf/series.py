@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress, count, repeat, zip_longest
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, index, itemgetter, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -60,7 +60,7 @@ _monomial = partial(tuple.__new__, Monomial2)
 
 
 def _as_monomial(mono: MonomialLike) -> Monomial2:
-    m = _monomial((int(mono[0]), int(mono[1])))
+    m = _monomial((index(mono[0]), index(mono[1])))
     if m.exp_a < 0 or m.exp_b < 0:
         raise ValueError(f"negative exponent in monomial {m}")
     return m

@@ -155,7 +155,8 @@ def verify_main(
 @_timed
 def verify_multifold(folds: Sequence[int], truncation: int) -> VerifyReport:
     """The multifold closed form against direct enumeration; a uniform fold
-    sequence is also compared against the single-d closed form."""
+    sequence is also compared against the exact single-d rational form
+    ``sigma_rational``, a transcription apart from the multifold one."""
     spec = posets.DiamondSpec(tuple(folds))
     closed = diamonds.sigma_multifold_closed(spec, truncation)
     enumerated = oracle.enumerate_diamonds(spec, truncation)
@@ -166,7 +167,7 @@ def verify_multifold(folds: Sequence[int], truncation: int) -> VerifyReport:
     report.compare("closed", closed, "oracle", enumerated)
     report.details.append(f"fold sequence {spec.folds}, {len(closed.terms)} terms")
     if len(set(spec.folds)) == 1:
-        uniform = diamonds.sigma_closed(spec.folds[0], spec.length, truncation)
+        uniform = diamonds.sigma_rational(spec.folds[0], spec.length).expand(truncation)
         report.compare("multifold", closed, "uniform-closed", uniform)
         report.details.append("uniform sequence: also compared against the single-d closed form")
     return report

@@ -102,7 +102,7 @@ def test_criterion_6_multifold_closed_form():
         for d in (1, 2, 3):
             for length in (1, 2, 3):
                 spec = DiamondSpec.uniform(d, length)
-                assert sigma_multifold_closed(spec, 8) == sigma_closed(d, length, 8)
+                assert sigma_multifold_closed(spec, 8) == sigma_rational(d, length).expand(8)
                 mixed = sigma_multifold_rational(spec)
                 uniform = sigma_rational(d, length)
                 assert sorted(mixed.denominator_factors) == sorted(uniform.denominator_factors)

@@ -14,7 +14,7 @@ import diamondgf
 from diamondgf import cli, diamonds, oracle, permstat, poset
 from diamondgf.cli import main
 from diamondgf.poset import PosetTooLarge
-from diamondgf.series import Monomial2, Poly2, TruncSeries2, geometric_series
+from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2, geometric_series
 from diamondgf.verify import VerifyReport, verify_stanley
 
 CHAIN_FILE = "elements 3\ncover 1 2\ncover 2 3\n"
@@ -378,6 +378,16 @@ def _drop_last(out, *args):
     return out[:-1]
 
 
+def _drop_factor_b(out, *args):
+    # the builder's denominator list without its factor 1 - b
+    numerators, denominator = out
+    return numerators, [m for m in denominator if m != (0, 1)]
+
+
+def _drop_last_factor(out, *args):
+    return RationalExpr(out.numerator, out.denominator_factors[:-1])
+
+
 def _swap_exponents(out, mono, truncation):
     # 1/(1 - b^j a^i) in place of 1/(1 - a^i b^j)
     return geometric_series((mono[1], mono[0]), truncation)
@@ -406,8 +416,13 @@ MUTATIONS = [
     # corruption reaches them whatever ran earlier in the process.
     (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "_descent_polynomial",
      _bump_at_d(2, 1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
-    (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "_multifold_denominator",
-     _drop_last, {"monomial": [0, 1], "lhs": "closed", "rhs": "oracle"}),
+    (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "_multifold_factors",
+     _drop_factor_b, {"monomial": [0, 1], "lhs": "closed", "rhs": "oracle"}),
+    # The uniform branch of verify multifold reads the exact single-d form,
+    # a transcription apart from the multifold factor list.
+    (["multifold", "--folds", "2,2", "--trunc", "6"], diamonds, "sigma_rational",
+     _drop_last_factor, {"monomial": [2, 2], "lhs": "multifold", "rhs": "uniform-closed",
+                         "lhs_coefficient": "4", "rhs_coefficient": "3"}),
     # Stanley's route: a lost linear extension, or a denominator factor with
     # its a and b exponents swapped. Poset 0 of this corpus is an antichain.
     (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], poset,

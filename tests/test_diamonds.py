@@ -106,7 +106,7 @@ def test_multifold_uniform_matches_single_d_form():
     for d in (1, 2, 3):
         for length in (1, 2, 3):
             spec = DiamondSpec.uniform(d, length)
-            assert sigma_multifold_closed(spec, 8) == sigma_closed(d, length, 8)
+            assert sigma_multifold_closed(spec, 8) == sigma_rational(d, length).expand(8)
             mixed = sigma_multifold_rational(spec)
             uniform = sigma_rational(d, length)
             assert sorted(mixed.denominator_factors) == sorted(uniform.denominator_factors)
@@ -115,7 +115,7 @@ def test_multifold_uniform_matches_single_d_form():
 
 def test_multifold_single_block():
     spec = DiamondSpec((1,))
-    assert sigma_multifold_closed(spec, 6) == sigma_closed(1, 1, 6)
+    assert sigma_multifold_closed(spec, 6) == sigma_rational(1, 1).expand(6)
 
 
 def test_multifold_matches_oracle():
@@ -161,7 +161,7 @@ def test_schmidt_closed_is_a_one_specialization():
     for d, length in ((1, 1), (2, 1), (1, 2)):
         total_folds = d * length
         big = 12
-        bivariate = sigma_closed(d, length, big)
+        bivariate = sigma_rational(d, length).expand(big)
         window = big // (total_folds + 1)
         collapsed = [0] * (window + 1)
         for mono, coeff in bivariate.terms.items():
@@ -299,14 +299,23 @@ def test_djsw_product_cut_reads_the_base_terms(base):
 
 def test_sigma_closed_with_more_blocks_than_the_truncation_reaches():
     # d = 2: factor n's lowest term a^{2n-1} b^n has degree 3n - 1, so at
-    # T = 8 factor 3 is the last one kept, and blocks 4 and 5 add only
+    # T = 8 factors 4 and 5 are the constant 1, and blocks 4 and 5 add only
     # denominator factors.
     d, length, truncation = 2, 5, 8
-    assert len(list(diamonds._sigma_numerator_factors(d, length, truncation))) == 3
-    assert len(list(diamonds._sigma_numerator_factors(d, length))) == length
     closed = sigma_closed(d, length, truncation)
     assert closed == sigma_rational(d, length).expand(truncation)
     assert closed == enumerate_diamonds(DiamondSpec.uniform(d, length), truncation)
+
+
+@pytest.mark.parametrize("folds, truncation", [((1, 3, 2, 1, 2, 1), 5), ((2, 1) * 5, 7)])
+def test_multifold_forms_with_more_blocks_than_the_truncation_reaches(folds, truncation):
+    # M > T on a mixed fold sequence: the top blocks' numerator factors are
+    # the constant 1 at T, in the bivariate form and in the a = b form.
+    spec = DiamondSpec(folds)
+    enumerated = enumerate_diamonds(spec, truncation)
+    assert sigma_multifold_closed(spec, truncation) == enumerated
+    assert sigma_multifold_rational(spec).expand(truncation) == enumerated
+    assert sigma_univariate(spec, truncation) == enumerated.specialize_univariate()
 
 
 def test_schmidt_closed_with_more_blocks_than_the_truncation_reaches():

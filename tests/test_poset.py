@@ -117,16 +117,27 @@ def test_diamond_spec():
     spec = DiamondSpec.uniform(2, 3)
     assert spec.length == 3
     assert spec.element_count == 3 * (2 + 1) + 1
-    assert spec.omega(0) == 6 and spec.omega(3) == 0
     mixed = DiamondSpec((1, 2))
     assert mixed.element_count == 6
-    assert mixed.omega(1) == 2
     with pytest.raises(ValueError):
         DiamondSpec(())
     with pytest.raises(ValueError):
         DiamondSpec((1, 0))
-    with pytest.raises(ValueError):
-        mixed.omega(3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly2({(1.5, 0): 1}),
+        lambda: DiamondSpec((2.7, 1)),
+        lambda: Poset(3, [(1.2, 2.9)]),
+    ],
+    ids=["monomial", "folds", "cover"],
+)
+def test_a_non_integral_exponent_fold_or_label_is_refused(build):
+    # Read as an int, 1.5 would silently become 1.
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_build_diamond_poset():
