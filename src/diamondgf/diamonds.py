@@ -23,8 +23,11 @@ fresh run with the enumeration.
 For series output every numerator factor is built with the truncation as
 its bound: ``Poly2.substitute`` writes no image term of total degree above
 T, the factors are multiplied with the same bound, and a factor that is the
-constant 1 is skipped, so the closed forms' factors past T cost one cut
-substitution each. The product lists of ``schmidt_product`` and
+constant 1 is skipped. The closed forms stop walking blocks at the first
+one whose image of x passes T, where every factor left is 1 unless its
+base has more than 1 in y alone (``_multifold_factors``), so a diamond of
+many more blocks than T costs no more than one of T + 1. The product
+lists of ``schmidt_product`` and
 ``djsw_product`` stop at the first factor that would be 1 + O(degree > T),
 a cut read from the factor's own terms (``_substituted``). The
 ``*_rational`` builders substitute and multiply exactly, for desk-scale
@@ -35,6 +38,7 @@ parameters. ``sigma_univariate`` never builds the bivariate triangle that
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
@@ -111,18 +115,35 @@ def _multifold_factors(
     ``sigma_multifold_rational``'s form, with ``base(d_k)`` for E_{d_k} and
     every monomial, a included, sent through ``image``. The blocks are
     walked top block first, keeping the running fold count w_k, so degrees
-    rise along both lists. Each numerator factor is substituted with
-    ``bound``, so one whose terms all land past it, bar a constant 1, comes
-    out as 1."""
+    rise along both lists for every map used here. Each numerator factor is
+    substituted with ``bound``.
+
+    With a bound, the walk stops at the first block whose image of x has
+    degree above it. There and below, every term of a base in x and every
+    denominator monomial lands past the bound, so what is left of a factor
+    is its base's part in y alone. Like ``_substituted``, this reads each
+    base's own terms: a base whose part in y alone is not exactly 1 keeps
+    its factor, once per block that uses it."""
     y_image = image(Monomial2(1, 0))
     numerators: list[Poly2] = []
     denominator: list[Monomial2] = []
     above = 0
     for n, d_k in enumerate(reversed(spec.folds), 1):  # n = M - k + 1
-        numerators.append(base(d_k).substitute(image(Monomial2(above, n)), y_image, bound))
+        x_image = image(Monomial2(above, n))
+        if bound is not None and x_image.degree > bound:
+            for d, count in Counter(spec.folds[: spec.length - n + 1]).items():
+                if not _one_in_y(base(d)):
+                    numerators += [base(d).substitute(x_image, y_image, bound)] * count
+            break
+        numerators.append(base(d_k).substitute(x_image, y_image, bound))
         denominator.extend(image(Monomial2(above + d_k - j, n)) for j in range(d_k + 1))
         above += d_k
-    return numerators, [image(Monomial2(above, spec.length + 1)), *denominator]
+    return numerators, [image(Monomial2(sum(spec.folds), spec.length + 1)), *denominator]
+
+
+def _one_in_y(base: Poly2) -> bool:
+    """Whether the terms of base free of x are exactly the constant 1."""
+    return [(m, c) for m, c in base.terms.items() if not m.exp_a] == [(Monomial2(0, 0), 1)]
 
 
 def sigma_rational(d: int, length: int) -> RationalExpr:

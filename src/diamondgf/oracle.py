@@ -1,9 +1,9 @@
 """Brute-force enumeration oracles.
 
-These recount, object by object, what the closed formulas claim. They are
-deliberately naive (depth-first search, no memoization, no algebra, nothing
-from ``diamonds`` or ``permstat``) so that agreement with the series
-machinery is a genuine two-route check rather than a tautology.
+These recount, straight from the poset, what the closed formulas claim.
+They are deliberately naive (depth-first search, no memoization, no
+algebra, nothing from ``diamonds`` or ``permstat``) so that agreement with
+the series machinery is a genuine two-route check rather than a tautology.
 
 The searches only skip branches that can hold no object:
 
@@ -18,12 +18,20 @@ The searches only skip branches that can hold no object:
   links left, this one included. Links weakly increase, so each later link
   costs at least as much.
 
-Every object is still reached by its own path and counted once.
+``enumerate_ppartitions`` and ``enumerate_infinite_univariate`` reach
+every object by its own path and count it once. ``schmidt_oracle`` walks
+link chains instead. Its weight ignores fold values, and the d folds of a
+block are independent values between the two links around it, so a block
+whose links are u <= v holds (v - u + 1)^d fold tuples, and the search
+multiplies that count in rather than visiting each tuple. That is still a
+plain transcription of the poset's inequalities (weakly increasing links,
+each fold sandwiched between its two links), with no E_d, no denominators
+and no series. The object-by-object search stays in the tests as its
+reference (``tests/test_oracle.py::_unpruned_schmidt``).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from typing import Iterator, Sequence
@@ -158,10 +166,11 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
 def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
     """Count length-M diamonds by link sum alone.
 
-    Links form a weakly increasing chain; every fold sits between its two
-    neighbouring links, so folds are enumerated over that finite sandwich
-    range with no artificial cap. Fold values do not enter the weight. A
-    link is capped by the unspent budget shared with the links after it.
+    Links form a weakly increasing chain, and a link is capped by the
+    unspent budget shared with the links after it. Every fold sits between
+    its two neighbouring links and its value does not enter the weight, so
+    each chain of links is walked once and carries the number of fold
+    tuples it admits: (link - prev_link + 1)^d per block.
     """
     if d < 1 or length < 1:
         raise ValueError("d and length must be at least 1")
@@ -169,18 +178,19 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
         raise ValueError("truncation must be nonnegative")
     coeffs = [0] * (truncation + 1)
 
-    def assign(block: int, prev_link: int, link_sum: int) -> None:
+    def assign(block: int, prev_link: int, link_sum: int, ways: int) -> None:
+        # ways: the objects that share this chain of links so far.
         if block > length:
-            coeffs[link_sum] += 1
+            coeffs[link_sum] += ways
             return
         cap = (truncation - link_sum) // (length - block + 1)
         for link in range(prev_link, cap + 1):
-            for _folds in itertools.product(range(prev_link, link + 1), repeat=d):
-                assign(block + 1, link, link_sum + link)
+            # d independent folds in [prev_link, link], none of them weighed
+            assign(block + 1, link, link_sum + link, ways * (link - prev_link + 1) ** d)
 
     try:
         for first_link in range(truncation // (length + 1) + 1):
-            assign(1, first_link, first_link)
+            assign(1, first_link, first_link, 1)
     finally:
         del assign  # it refers to itself through its closure
     return coeffs

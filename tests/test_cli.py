@@ -401,6 +401,10 @@ MUTATIONS = [
      {"power": 6, "lhs": "product", "rhs": "oracle"}),
     (["schmidt", "--d", "1", "--M", "4", "--trunc", "6"], diamonds, "schmidt_closed",
      _bump_last, {"power": 6, "lhs": "closed", "rhs": "oracle"}),
+    # The links-only oracle counts fold tuples per link chain; a miscount
+    # there fails the same check from the other side.
+    (["schmidt", "--d", "2", "--M", "3", "--trunc", "6"], oracle, "schmidt_oracle",
+     _bump_last, {"power": 6, "lhs": "closed", "rhs": "oracle"}),
     (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "sigma_closed",
      _bump(1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
     (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "sigma_multifold_closed",
@@ -570,6 +574,19 @@ def test_verify_stanley_max_size_keeps_the_extension_guard(capsys):
                        "--trunc", "4", "--seed", "1", "--force")
     assert code == 0
     assert "checked 3 random posets (size <= 13, truncation 4, seed 1)" in out
+
+
+@pytest.mark.parametrize("d, length", [(9, 10), (5, 3)])
+def test_verify_schmidt_at_large_d_passes_in_seconds(capsys, d, length):
+    # The links-only oracle walks each chain of links once and counts the
+    # (v - u + 1)^d fold tuples of a block between links u <= v, so a large
+    # d costs no more search than a small one.
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "schmidt", "--d", str(d), "--M", str(length),
+                         "--trunc", "10", "--json")
+    assert time.monotonic() - start < 5.0
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
 
 
 def _stack_depth() -> int:

@@ -324,6 +324,57 @@ def test_schmidt_closed_with_more_blocks_than_the_truncation_reaches():
     assert schmidt_closed(3, 6, 6) == schmidt_oracle(3, 6, 6)
 
 
+@pytest.mark.parametrize(
+    "closed",
+    [
+        lambda length, truncation: sigma_closed(2, length, truncation),
+        lambda length, truncation: schmidt_closed(3, length, truncation),
+        lambda length, truncation: sigma_univariate(DiamondSpec.uniform(2, length), truncation),
+    ],
+    ids=["sigma", "schmidt", "a-eq-b"],
+)
+def test_blocks_past_the_truncation_are_not_substituted(monkeypatch, closed):
+    # Block n's image of x has degree at least n, so at most blocks 1..T
+    # are substituted, however many there are.
+    truncation, calls = 10, []
+    original = Poly2.substitute
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly2, "substitute", counted)
+    long = closed(2000, truncation)
+    assert len(calls) <= truncation + 1
+    assert long == closed(truncation + 1, truncation)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        lambda d: djsw_recursion(d) + Poly2.monomial(0, 1),  # a term in y alone
+        lambda d: djsw_recursion(d) + 1,  # a constant other than 1
+        lambda d: djsw_recursion(d) + (Poly2.monomial(0, 2) if d == 1 else 0),  # one fold count
+    ],
+    ids=["pure-y-term", "constant-2", "mixed"],
+)
+def test_multifold_factors_past_the_bound_read_the_base_terms(base):
+    # Past the bound every term in x is gone, but a base's part in y alone
+    # is not: a factor whose base has more there than 1 is kept, once per
+    # block that uses it.
+    spec, truncation = DiamondSpec((1, 2) * 6), 6
+    numerators, denominator = diamonds._multifold_factors(spec, base, bound=truncation)
+    exact = sigma_multifold_rational(spec)
+    exact_numerators, exact_denominator = diamonds._multifold_factors(spec, base)
+    expected = RationalExpr(diamonds._product(exact_numerators), tuple(exact_denominator))
+    bounded = RationalExpr(diamonds._product(numerators, truncation), tuple(denominator))
+    assert bounded.expand(truncation) == expected.expand(truncation)
+    assert bounded.expand(truncation) != exact.expand(truncation)
+    plain, _ = diamonds._multifold_factors(spec, diamonds._descent_polynomial, bound=truncation)
+    assert len(plain) < spec.length
+    assert len(numerators) > len(plain)
+
+
 # --- the a = b route ----------------------------------------------------------
 
 

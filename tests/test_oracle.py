@@ -165,6 +165,13 @@ def test_schmidt_oracle_matches_unpruned_search(d, length, truncation):
     assert schmidt_oracle(d, length, truncation) == _unpruned_schmidt(d, length, truncation)
 
 
+@pytest.mark.parametrize("d, length, truncation", [(4, 1, 5), (4, 2, 6), (5, 1, 4), (5, 2, 5)])
+def test_schmidt_oracle_matches_unpruned_search_at_larger_d(d, length, truncation):
+    # The property above stops at d = 3; these reach the exponent of the
+    # (v - u + 1)^d fold tuples per block at d = 4 and 5.
+    assert schmidt_oracle(d, length, truncation) == _unpruned_schmidt(d, length, truncation)
+
+
 @oracle_settings
 @given(st.integers(1, 3), st.integers(0, 7))
 def test_infinite_oracle_matches_a_long_finite_diamond(d, truncation):
