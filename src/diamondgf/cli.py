@@ -282,15 +282,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # includes ParseError and the linear-extension budget, which --force does not lift
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        # The oracles search one poset element per stack frame; the elements
-        # of a verify target's poset follow from --trunc and --d.
-        if args.subcommand == "ppartition":
-            hint = "a smaller poset, or leave out --oracle"
-        else:
-            hint = "a smaller --trunc or --d"
-        print(f"error: recursion too deep; use {hint}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryError:
         # A truncated series holds about T^2/2 coefficients, and nothing yet
         # estimates that before allocating it.

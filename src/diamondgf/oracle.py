@@ -1,39 +1,45 @@
 """Brute-force enumeration oracles.
 
 These recount, straight from the poset, what the closed formulas claim.
-They are deliberately naive (depth-first search, no memoization, no
-algebra, nothing from ``diamonds`` or ``permstat``) so that agreement with
-the series machinery is a genuine two-route check rather than a tautology.
+They use no algebra and nothing from ``diamonds`` or ``permstat``, so that
+agreement with the series machinery is a genuine two-route check rather
+than a tautology. None of them recurses: each is a loop, so its depth is no
+limit.
 
-The searches only skip branches that can hold no object:
+``enumerate_ppartitions`` is a depth-first search on an explicit stack. It
+reaches every object by its own path and counts it once, and it only skips
+branches that can hold no object: it caps element k at
+``budget // (1 + u)``, where u counts the elements above k. Each of them is
+at least k's value, so a larger value overspends the budget however the
+rest is filled.
 
-- ``enumerate_ppartitions`` caps element k at ``budget // (1 + u)``, where u
-  counts the elements above k. Each of them is at least k's value, so a
-  larger value overspends the budget however the rest is filled.
-- ``enumerate_infinite_univariate`` seals on an element that lies below
-  every later element: the values decrease upward, so a 0 there forces
-  every later value to 0. That single completion is counted at once and
-  the loop starts at 1.
-- ``schmidt_oracle`` caps each link at the unspent link budget over the
-  links left, this one included. Links weakly increase, so each later link
-  costs at least as much.
+The two diamond oracles count by link value instead (the transfer-matrix
+method of Stanley, *EC1* §4.7). The d folds of a block are independent
+values between the two links around it, so the objects that share a chain
+of links differ only in those fold tuples, and a loop over the links alone
+can add them up:
 
-``enumerate_ppartitions`` and ``enumerate_infinite_univariate`` reach
-every object by its own path and count it once. ``schmidt_oracle`` walks
-link chains instead. Its weight ignores fold values, and the d folds of a
-block are independent values between the two links around it, so a block
-whose links are u <= v holds (v - u + 1)^d fold tuples, and the search
-multiplies that count in rather than visiting each tuple. That is still a
-plain transcription of the poset's inequalities (weakly increasing links,
-each fold sandwiched between its two links), with no E_d, no denominators
-and no series. The object-by-object search stays in the tests as its
-reference (``tests/test_oracle.py::_unpruned_schmidt``).
+- ``enumerate_infinite_univariate`` keeps, per state (last link, part sum
+  so far), the number of objects. Links weakly decrease away from the first
+  link, the d folds of a block between links u <= v are d-tuples in
+  [u, v], counted by their sum, and a chain of links ends at its first 0.
+- ``schmidt_oracle`` weighs links alone, so a block between links u <= v
+  holds (v - u + 1)^d fold tuples. It keeps, per state (last link, link
+  sum), the number of objects, block by block. Links weakly increase, and a
+  link is capped by the unspent link budget over the links left, this one
+  included, since each later link costs at least as much.
+
+That is still a plain transcription of the poset's inequalities, with no
+E_d, no denominators and no series. The object-by-object searches stay in
+the tests as their references
+(``enumerate_diamonds(...).specialize_univariate()`` and
+``tests/test_oracle.py::_unpruned_schmidt``).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-import sys
 from typing import Iterator, Sequence
 
 from .poset import (
@@ -58,7 +64,8 @@ def enumerate_ppartitions(
     fixed; each value ranges from the largest lower-cover value up to the
     remaining budget shared with the elements above it. One monomial is
     accumulated per assignment: the fold tags feed the first exponent, the
-    link tags the second.
+    link tags the second. The last element's values complete one assignment
+    each, so they are counted in one loop.
     """
     tags = validate_assignment(assignment, p.size)
     c = p.size
@@ -71,27 +78,32 @@ def enumerate_ppartitions(
             if below >> k & 1:
                 shares[k] += 1
     is_fold = [False] + [tag == FOLD_TAG for tag in tags]
-    values = [0] * (c + 1)
+    values, caps = [0] * (c + 1), [0] * (c + 1)
+    # The fold and link weights of elements 1..k-1, when element k is set.
+    spent_a, spent_b = [0] * (c + 1), [0] * (c + 1)
     counts: dict[tuple[int, int], int] = {}
-
-    def assign(k: int, weight_a: int, weight_b: int) -> None:
-        if k > c:
-            key = (weight_a, weight_b)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        low = max((values[j] for j in lowers[k]), default=0)
-        cap = (truncation - weight_a - weight_b) // shares[k]
-        for m in range(low, cap + 1):
-            values[k] = m
-            if is_fold[k]:
-                assign(k + 1, weight_a + m, weight_b)
-            else:
-                assign(k + 1, weight_a, weight_b + m)
-
-    try:
-        assign(1, 0, 0)
-    finally:
-        del assign  # it refers to itself through its closure
+    k, entering = 1, True
+    while k:
+        if entering:
+            weight_a, weight_b = spent_a[k], spent_b[k]
+            low = max((values[j] for j in lowers[k]), default=0)
+            cap = (truncation - weight_a - weight_b) // shares[k]
+            if k == c:
+                for m in range(low, cap + 1):
+                    key = (weight_a + m, weight_b) if is_fold[k] else (weight_a, weight_b + m)
+                    counts[key] = counts.get(key, 0) + 1
+                k, entering = k - 1, False
+                continue
+            values[k], caps[k] = low, cap
+        else:
+            values[k] += 1
+        m = values[k]
+        if m > caps[k]:
+            k, entering = k - 1, False
+            continue
+        spent_a[k + 1] = spent_a[k] + m if is_fold[k] else spent_a[k]
+        spent_b[k + 1] = spent_b[k] if is_fold[k] else spent_b[k] + m
+        k, entering = k + 1, True
     return TruncSeries2(truncation, counts)
 
 
@@ -101,65 +113,52 @@ def enumerate_diamonds(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     return enumerate_ppartitions(poset, tags, truncation)
 
 
+def _fold_tuples(d: int, gap: int, truncation: int) -> list[int]:
+    """Entry t: the d-tuples of values in [0, gap] that sum to t <= truncation."""
+    counts = [1]
+    for _ in range(d):
+        # One more fold: each entry sums a window of gap + 1 entries.
+        below = list(itertools.accumulate(counts, initial=0))
+        width = min(len(counts) + gap, truncation + 1)
+        counts = [below[min(t + 1, len(counts))] - below[max(t - gap, 0)] for t in range(width)]
+    return counts
+
+
 def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
     """Count unbounded-length d-fold diamonds by total part sum.
 
     Uses the orientation in which parts weakly decrease away from the first
-    link, so every assignment has finite support: any nonzero part in block
-    n forces n earlier links to be positive, hence a length-T prefix
-    captures every diamond of sum <= T exactly once.
+    link, so every diamond has finite support: a chain of links ends at its
+    first 0, and every part after it is 0. Each state is a chain so far,
+    kept as its last link v > 0 and its part sum s; the next block chooses
+    a link u <= v and d folds in [u, v].
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    if truncation == 0:
-        return [1]
-    spec = DiamondSpec.uniform(d, truncation)
-    c = spec.element_count
-    # A size guard, not a depth bound: the search nests at most T + d + 1
-    # calls (a seal counts its 0 at once, and a 0 on a fold leaves the link
-    # above nothing, so only the folds of one block nest with a 0), but its
-    # work grows exponentially with T. A poset of more elements than the
-    # frames left under the recursion limit is refused before it is built,
-    # so that search never starts. ``left`` keeps two frames back from the
-    # limit: one for the call past the last element, and one to spare.
-    left, frame = sys.getrecursionlimit() - 2, sys._getframe()
-    while frame is not None:
-        left, frame = left - 1, frame.f_back
-    if c > left:
-        raise RecursionError(
-            f"the poset has {c} elements, more than the {left} frames left under the "
-            "recursion limit; a search that size is refused before it starts"
-        )
-    poset, _ = build_diamond_poset(spec)
-    lowers = [()] + [poset.lower_covers(k) for k in range(1, c + 1)]
-    # Values decrease upward, so 0 on an element below every later element
-    # forces 0 on the rest.
-    seals = [False] + [
-        all(poset.down_mask(j) >> k & 1 for j in range(k + 1, c + 1)) for k in range(1, c + 1)
-    ]
-    values = [0] * (c + 1)
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
     coeffs = [0] * (truncation + 1)
-
-    def assign(k: int, total: int) -> None:
-        # Once the budget is spent the all-zero completion is the only one
-        # left, and decreasing constraints always allow it.
-        if k > c or total == truncation:
-            coeffs[total] += 1
-            return
-        cap = min((values[j] for j in lowers[k]), default=truncation - total)
-        cap = min(cap, truncation - total)
-        low = 0
-        if seals[k]:
-            coeffs[total] += 1
-            low = 1
-        for m in range(low, cap + 1):
-            values[k] = m
-            assign(k + 1, total + m)
-
-    try:
-        assign(1, 0)
-    finally:
-        del assign  # it refers to itself through its closure
+    coeffs[0] = 1  # a first link of 0: every part is 0
+    # by_link[v][s]: chains whose last link is v, with part sum s
+    by_link = [[0] * (truncation + 1) for _ in range(truncation + 1)]
+    for v in range(1, truncation + 1):
+        by_link[v][v] = 1  # the first link
+    tuples = [_fold_tuples(d, gap, truncation) for gap in range(truncation + 1)]
+    # Links only decrease, so once the larger links are done every chain
+    # into v is counted; a next link u = v adds to a larger sum of v's own
+    # row, which the loop over s reaches later.
+    for v in range(truncation, 0, -1):
+        row = by_link[v]
+        for s, ways in enumerate(row):
+            if not ways:
+                continue
+            for u in range(min(v, (truncation - s) // (d + 1)) + 1):
+                # The link u and its d folds, each at least u; the folds'
+                # excess over u is a d-tuple in [0, v - u].
+                base = s + (d + 1) * u
+                target = by_link[u] if u else coeffs  # a chain ends at its first 0
+                for t, n in enumerate(tuples[v - u][: truncation - base + 1]):
+                    target[base + t] += ways * n
     return coeffs
 
 
@@ -169,30 +168,28 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
     Links form a weakly increasing chain, and a link is capped by the
     unspent budget shared with the links after it. Every fold sits between
     its two neighbouring links and its value does not enter the weight, so
-    each chain of links is walked once and carries the number of fold
-    tuples it admits: (link - prev_link + 1)^d per block.
+    the chains of links are counted block by block, keyed by (last link,
+    link sum), each carrying the number of fold tuples it admits:
+    (link - prev_link + 1)^d per block.
     """
     if d < 1 or length < 1:
         raise ValueError("d and length must be at least 1")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
+    # (last link, link sum) -> the objects that share that chain state
+    states = {(link, link): 1 for link in range(truncation // (length + 1) + 1)}
+    for block in range(1, length + 1):
+        links_left = length - block + 1
+        after: dict[tuple[int, int], int] = {}
+        for (prev_link, link_sum), ways in states.items():
+            for link in range(prev_link, (truncation - link_sum) // links_left + 1):
+                # d independent folds in [prev_link, link], none of them weighed
+                key = (link, link_sum + link)
+                after[key] = after.get(key, 0) + ways * (link - prev_link + 1) ** d
+        states = after
     coeffs = [0] * (truncation + 1)
-
-    def assign(block: int, prev_link: int, link_sum: int, ways: int) -> None:
-        # ways: the objects that share this chain of links so far.
-        if block > length:
-            coeffs[link_sum] += ways
-            return
-        cap = (truncation - link_sum) // (length - block + 1)
-        for link in range(prev_link, cap + 1):
-            # d independent folds in [prev_link, link], none of them weighed
-            assign(block + 1, link, link_sum + link, ways * (link - prev_link + 1) ** d)
-
-    try:
-        for first_link in range(truncation // (length + 1) + 1):
-            assign(1, first_link, first_link, 1)
-    finally:
-        del assign  # it refers to itself through its closure
+    for (_, link_sum), ways in states.items():
+        coeffs[link_sum] += ways
     return coeffs
 
 

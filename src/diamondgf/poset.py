@@ -158,10 +158,6 @@ class DiamondSpec:
     def length(self) -> int:
         return len(self.folds)
 
-    @property
-    def element_count(self) -> int:
-        return self.length + 1 + sum(self.folds)
-
 
 def build_diamond_poset(spec: DiamondSpec) -> tuple[Poset, tuple[str, ...]]:
     """The chain of diamond blocks: a bottom link, then for each block its

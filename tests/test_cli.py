@@ -273,15 +273,19 @@ def test_ppartition_on_a_deep_chain(capsys, tmp_path):
 
 
 def test_ppartition_deep_oracle_hint_names_its_own_inputs(capsys, tmp_path):
-    # The oracle searches one stack frame per element, so an 1100-element
-    # chain is too deep for it; ppartition has no --d to suggest.
+    # The oracle's search keeps its own stack, so an 1100-element chain,
+    # deeper than the interpreter's recursion limit, is enumerated like any
+    # other poset.
     lines = ["elements 1100"] + [f"cover {j} {j + 1}" for j in range(1, 1100)]
     path = tmp_path / "deep-chain.poset"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "ppartition", str(path), "--trunc", "4", "--force", "--oracle")
-    assert (code, out) == (2, "")
-    assert err == "error: recursion too deep; use a smaller poset, or leave out --oracle\n"
-    assert "--d" not in err
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "stanley: 1 + b + 2*b^2 + 3*b^3 + 5*b^4",
+        "oracle:  1 + b + 2*b^2 + 3*b^3 + 5*b^4",
+        "MATCH",
+    ]
 
 
 def test_ppartition_guard_and_force(capsys, tmp_path):
@@ -396,6 +400,10 @@ def _swap_exponents(out, mono, truncation):
 MUTATIONS = [
     # verify target argv, library function corrupted, expected mismatch
     (["apr", "--trunc", "6"], diamonds, "apr_product", _bump_last,
+     {"power": 6, "lhs": "product", "rhs": "oracle"}),
+    # The infinite-product oracle counts by link value; a miscount there
+    # fails the same check from the other side.
+    (["apr", "--trunc", "6"], oracle, "enumerate_infinite_univariate", _bump_last,
      {"power": 6, "lhs": "product", "rhs": "oracle"}),
     (["djsw-product", "--d", "2", "--trunc", "6"], diamonds, "djsw_product", _bump_last,
      {"power": 6, "lhs": "product", "rhs": "oracle"}),
@@ -597,19 +605,17 @@ def _stack_depth() -> int:
 
 
 def test_deep_recursion_is_a_usage_error(capsys):
-    # The infinite-product oracle refuses a poset of more elements than the
-    # frames left, 3T + 1 for d = 2; leave room for the command itself but
-    # not for that many.
+    # Room for the command itself but not for a frame per element of the
+    # 3T + 1 elements of a length-T 2-fold diamond: the infinite-product
+    # oracle counts by link value in a loop, so it needs none of them.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 30)
     try:
-        code, out, err = run(capsys, "verify", "apr", "--trunc", "12")
+        code, out, err = run(capsys, "verify", "apr", "--trunc", "12", "--json")
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2
-    assert err.startswith("error: recursion too deep")
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in out + err
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
 
 
 @pytest.mark.parametrize(
@@ -634,15 +640,36 @@ def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, hint)
 
 
 def test_deep_oracle_search_is_refused_before_it_starts(capsys):
-    # The oracle's poset has 5 * 200 + 1 elements, more than the frames left
-    # under the default recursion limit; building it alone takes seconds,
-    # and the search would run for minutes.
+    # The count by (last link, part sum) passes where a search object by
+    # object over the 5 * 200 + 1 elements of the length-T diamond would run
+    # for far longer than this bound.
     start = time.monotonic()
-    code, out, err = run(capsys, "verify", "djsw-product", "--d", "4", "--trunc", "200")
+    code, out, err = run(capsys, "verify", "djsw-product", "--d", "4", "--trunc", "200",
+                         "--json")
     assert time.monotonic() - start < 8.0
-    assert code == 2
-    assert out == ""
-    assert err == "error: recursion too deep; use a smaller --trunc or --d\n"
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        # far past the T an object-by-object search of the infinite diamond
+        # reaches in seconds
+        (("apr", "--trunc", "60"), 2.0),
+        # a chain of 1201 links, and a poset of 1201 elements, past the
+        # interpreter's default recursion limit
+        (("schmidt", "--d", "1", "--M", "1200", "--trunc", "3"), 5.0),
+        (("multifold", "--folds", ",".join(["1"] * 600), "--trunc", "2"), 5.0),
+    ],
+    ids=["apr", "schmidt", "multifold"],
+)
+def test_large_oracle_targets_pass_in_seconds(capsys, argv, seconds):
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", *argv, "--json")
+    assert time.monotonic() - start < seconds
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
 
 
 def test_verify_report_invariant():

@@ -116,9 +116,6 @@ def test_linear_sum_extension_counts_multiply():
 def test_diamond_spec():
     spec = DiamondSpec.uniform(2, 3)
     assert spec.length == 3
-    assert spec.element_count == 3 * (2 + 1) + 1
-    mixed = DiamondSpec((1, 2))
-    assert mixed.element_count == 6
     with pytest.raises(ValueError):
         DiamondSpec(())
     with pytest.raises(ValueError):
