@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
 from .poset import DiamondSpec
-from .series import Monomial2, Poly2, RationalExpr, TruncSeries2
+from .series import Monomial2, Poly2, RationalExpr, TruncSeries2, _check_truncation
 
 
 def _product(factors: Iterable[Poly2], bound: Optional[int] = None) -> Poly2:
@@ -175,6 +175,7 @@ def sigma_closed(d: int, length: int, truncation: int) -> TruncSeries2:
     Coefficient of a^i b^j counts length-M d-fold diamonds with fold sum i
     and link sum j. This is the multifold form on M blocks of d folds.
     """
+    truncation = _check_truncation(truncation)
     _check_dm(d, length)
     return sigma_multifold_closed(DiamondSpec.uniform(d, length), truncation)
 
@@ -198,6 +199,7 @@ def sigma_multifold_closed(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     degree T: ``sigma_multifold_rational``'s factors, each numerator factor
     and their product cut at T. ``sigma_closed`` is this form on a uniform
     fold sequence."""
+    truncation = _check_truncation(truncation)
     numerators, denominator = _multifold_factors(spec, _descent_polynomial, bound=truncation)
     return RationalExpr(_product(numerators, truncation), tuple(denominator)).expand(truncation)
 
@@ -214,6 +216,7 @@ def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
     ``sigma_multifold_closed(spec, T).specialize_univariate()`` at the cost
     of univariate series.
     """
+    truncation = _check_truncation(truncation)
     numerators, denominator = _multifold_factors(
         spec, _descent_polynomial, lambda m: Monomial2(0, m.degree), truncation
     )
@@ -229,6 +232,7 @@ def schmidt_closed(
     expansion: numerator prod_n E_d(q^n, 1), denominator
     (1 - q^{M+1}) prod_n (1 - q^n)^{d+1}.
     """
+    truncation = _check_truncation(truncation)
     _check_dm(d, length)
     e_d = eulerian(d, max_d)
     numerators, denominator = _multifold_factors(
@@ -240,6 +244,7 @@ def schmidt_closed(
 def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[int]:
     """The infinite links-only product prod_{n>=1} E_d(q^n, 1)/(1-q^n)^{d+1},
     truncated by keeping factors n = 1..T."""
+    truncation = _check_truncation(truncation)
     if d < 1:
         raise ValueError("d must be at least 1")
     images = ((Monomial2(0, n), Monomial2(0, 0)) for n in range(1, truncation + 1))
@@ -254,6 +259,7 @@ def apr_product(truncation: int) -> list[int]:
     """The plane partition diamond product prod_{n>=1} (1 + q^{3n-1})/(1 - q^n),
     truncated by keeping the denominator factors n = 1..T and the numerator
     factors with 3n - 1 <= T."""
+    truncation = _check_truncation(truncation)
     return _univariate(
         (
             Poly2({Monomial2(0, 0): 1, Monomial2(0, 3 * n - 1): 1})
@@ -274,6 +280,7 @@ def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> li
     coefficients. The numerator cut reads the terms of whichever base is
     used, so a corrupted base is cut by the same rule.
     """
+    truncation = _check_truncation(truncation)
     if d < 1:
         raise ValueError("d must be at least 1")
     base = _descent_polynomial(d) if base is None else base

@@ -6,19 +6,19 @@ agreement with the series machinery is a genuine two-route check rather
 than a tautology. None of them recurses: each is a loop, so its depth is no
 limit.
 
-``enumerate_ppartitions`` is a depth-first search on an explicit stack. It
-reaches every object by its own path and counts it once, and it only skips
-branches that can hold no object: it caps element k at
-``budget // (1 + u)``, where u counts the elements above k. Each of them is
-at least k's value, so a larger value overspends the budget however the
-rest is filled.
+Each oracle counts objects by state, the transfer-matrix method of
+Stanley, *EC1* §4.7: objects that agree on what the rest of the order can
+still see extend in the same ways, so they are counted together.
 
-The two diamond oracles count by link value instead (the transfer-matrix
-method of Stanley, *EC1* §4.7). The d folds of a block are independent
-values between the two links around it, so the objects that share a chain
-of links differ only in those fold tuples, and a loop over the links alone
-can add them up:
-
+- ``enumerate_ppartitions`` places the elements of any finite poset in
+  label order. Its state is the frontier: the floor of each pending
+  element, that is, the largest value among its lower covers placed so
+  far. Per state it keeps the number of partial assignments per (fold sum,
+  link sum). It only skips values that can complete no object: it caps
+  element k at ``budget // (1 + u)``, where u counts the elements above k.
+  Each of them is at least k's value, so a larger value overspends the
+  budget however the rest is filled. ``enumerate_diamonds`` is this counter
+  on the diamond poset.
 - ``enumerate_infinite_univariate`` keeps, per state (last link, part sum
   so far), the number of objects. Links weakly decrease away from the first
   link, the d folds of a block between links u <= v are d-tuples in
@@ -29,11 +29,12 @@ can add them up:
   link is capped by the unspent link budget over the links left, this one
   included, since each later link costs at least as much.
 
-That is still a plain transcription of the poset's inequalities, with no
-E_d, no denominators and no series. The object-by-object searches stay in
-the tests as their references
-(``enumerate_diamonds(...).specialize_univariate()`` and
-``tests/test_oracle.py::_unpruned_schmidt``).
+That is still a plain transcription of the poset's inequalities and the
+budget, with no E_d, no denominators and no series. The object-by-object
+searches stay in the tests as their references
+(``tests/test_oracle.py::_object_search`` and ``_unpruned_schmidt``); the
+infinite oracle is checked against ``enumerate_diamonds`` on a long finite
+diamond, a count by a different state.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .poset import (
     build_diamond_poset,
     validate_assignment,
 )
-from .series import TruncSeries2
+from .series import TruncSeries2, _check_truncation
 
 DEFAULT_CORPUS_SEED = 20240601
 
@@ -57,58 +58,92 @@ DEFAULT_CORPUS_SEED = 20240601
 def enumerate_ppartitions(
     p: Poset, assignment: Sequence[str], truncation: int
 ) -> TruncSeries2:
-    """Directly enumerate order-preserving assignments of nonnegative
-    integers with total sum <= truncation.
+    """Count order-preserving assignments of nonnegative integers with total
+    sum <= truncation, by (fold sum, link sum).
 
-    Elements are assigned in label order, so every lower cover is already
-    fixed; each value ranges from the largest lower-cover value up to the
-    remaining budget shared with the elements above it. One monomial is
-    accumulated per assignment: the fold tags feed the first exponent, the
-    link tags the second. The last element's values complete one assignment
-    each, so they are counted in one loop.
+    Elements are placed in label order, so every lower cover of element k is
+    placed before it. An element is pending from its first placed lower
+    cover until it is placed itself, and its floor is the largest value
+    among its lower covers placed so far. Assignments of the elements placed
+    so far that give every pending element the same floor extend in the
+    same ways, so they are kept together, counted per (fold sum, link sum).
+    Element k takes each value m from its floor up to the unspent budget
+    over the elements that share it: k and every element above k, each at
+    least m. Then m raises the floors of k's upper covers to at least m.
+    When that moves no floor, as for the last element, all of k's values
+    land in one state.
     """
+    truncation = _check_truncation(truncation)
     tags = validate_assignment(assignment, p.size)
     c = p.size
-    lowers = [()] + [p.lower_covers(k) for k in range(1, c + 1)]
-    # Element k plus every element above it (all later, by natural labels).
-    shares = [1] * (c + 1)
-    for j in range(1, c + 1):
-        below = p.down_mask(j)
-        for k in range(1, j):
-            if below >> k & 1:
-                shares[k] += 1
-    is_fold = [False] + [tag == FOLD_TAG for tag in tags]
-    values, caps = [0] * (c + 1), [0] * (c + 1)
-    # The fold and link weights of elements 1..k-1, when element k is set.
-    spent_a, spent_b = [0] * (c + 1), [0] * (c + 1)
-    counts: dict[tuple[int, int], int] = {}
-    k, entering = 1, True
-    while k:
-        if entering:
-            weight_a, weight_b = spent_a[k], spent_b[k]
-            low = max((values[j] for j in lowers[k]), default=0)
-            cap = (truncation - weight_a - weight_b) // shares[k]
-            if k == c:
-                for m in range(low, cap + 1):
-                    key = (weight_a + m, weight_b) if is_fold[k] else (weight_a, weight_b + m)
-                    counts[key] = counts.get(key, 0) + 1
-                k, entering = k - 1, False
+    uppers: list[list[int]] = [[] for _ in range(c + 1)]
+    for k in range(1, c + 1):
+        for j in p.lower_covers(k):
+            uppers[j].append(k)
+    # above[k]: the elements above k, as a bitmask built from the top down.
+    above = [0] * (c + 1)
+    for k in range(c, 0, -1):
+        for u in uppers[k]:
+            above[k] |= above[u] | 1 << u
+    # A (fold sum, link sum) pair is kept as one int, its code
+    # (fold sum + link sum) * width + fold sum, so a value m adds m * step.
+    width = truncation + 1
+    pending: list[int] = []
+    # the floors of the pending elements, in order -> {code: count}
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for k in range(1, c + 1):
+        share = above[k].bit_count() + 1
+        step = width + 1 if tags[k - 1] == FOLD_TAG else width
+        at = pending.index(k) if k in pending else None
+        if at is not None:
+            del pending[at]
+        lifts = [u in uppers[k] for u in pending]  # floors that k's value raises
+        # Upper covers whose least lower cover is k start pending, at k's value.
+        fresh = [u for u in uppers[k] if p.lower_covers(u)[0] == k]
+        pending += fresh
+        moves = bool(fresh) or any(lifts)
+        after: dict[tuple[int, ...], dict[int, int]] = {}
+        for floors, entries in states.items():
+            if at is None:
+                low, rest = 0, floors
+            else:
+                low, rest = floors[at], floors[:at] + floors[at + 1:]
+            top = (truncation - min(entries) // width) // share
+            if top < low:
                 continue
-            values[k], caps[k] = low, cap
-        else:
-            values[k] += 1
-        m = values[k]
-        if m > caps[k]:
-            k, entering = k - 1, False
-            continue
-        spent_a[k + 1] = spent_a[k] + m if is_fold[k] else spent_a[k]
-        spent_b[k + 1] = spent_b[k] if is_fold[k] else spent_b[k] + m
-        k, entering = k + 1, True
+            if moves:
+                targets = []  # the state that each m in low..top leads to
+                for m in range(low, top + 1):
+                    key = (*[max(f, m) if lift else f for f, lift in zip(rest, lifts)],
+                           *[m] * len(fresh))
+                    target = after.get(key)
+                    if target is None:
+                        target = after[key] = {}
+                    targets.append(target)
+            else:
+                target = after.get(rest)
+                if target is None:
+                    target = after[rest] = {}
+            for code, n in entries.items():
+                cap = (truncation - code // width) // share
+                placed = range(code + low * step, code + cap * step + 1, step)
+                if moves:
+                    for e, into in zip(placed, targets):
+                        into[e] = into.get(e, 0) + n
+                else:
+                    for e in placed:
+                        target[e] = target.get(e, 0) + n
+        states = after
+    counts = {}
+    for code, n in states.get((), {}).items():
+        spent, fold_sum = divmod(code, width)
+        counts[(fold_sum, spent - fold_sum)] = n
     return TruncSeries2(truncation, counts)
 
 
 def enumerate_diamonds(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     """Enumerate diamonds of the given fold sequence by (fold sum, link sum)."""
+    truncation = _check_truncation(truncation)
     poset, tags = build_diamond_poset(spec)
     return enumerate_ppartitions(poset, tags, truncation)
 
@@ -133,10 +168,9 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
     kept as its last link v > 0 and its part sum s; the next block chooses
     a link u <= v and d folds in [u, v].
     """
+    truncation = _check_truncation(truncation)
     if d < 1:
         raise ValueError("d must be at least 1")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
     coeffs = [0] * (truncation + 1)
     coeffs[0] = 1  # a first link of 0: every part is 0
     # by_link[v][s]: chains whose last link is v, with part sum s
@@ -172,10 +206,9 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
     link sum), each carrying the number of fold tuples it admits:
     (link - prev_link + 1)^d per block.
     """
+    truncation = _check_truncation(truncation)
     if d < 1 or length < 1:
         raise ValueError("d and length must be at least 1")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
     # (last link, link sum) -> the objects that share that chain state
     states = {(link, link): 1 for link in range(truncation // (length + 1) + 1)}
     for block in range(1, length + 1):

@@ -15,7 +15,7 @@ from itertools import accumulate, compress, repeat
 from operator import add, gt, index
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .series import TruncSeries2, geometric_series
+from .series import TruncSeries2, _check_truncation, geometric_series
 
 # Linear-extension counts can reach c!, so enumeration is guarded by poset
 # size; pass a larger max_size to override.
@@ -260,6 +260,7 @@ def stanley_sigma(
     none at a node whose terms all have degree above T - L, which the
     factor cannot change.
     """
+    truncation = _check_truncation(truncation)
     tags = validate_assignment(assignment, p.size)
     c = p.size
     words = jordan_holder(p, max_size)

@@ -450,9 +450,14 @@ def _poly(rows: Rows) -> Poly2:
     return poly
 
 
-def _check_truncation(truncation: int) -> None:
+def _check_truncation(truncation: int) -> int:
+    """The truncation as an exact int, refused when negative. It is read
+    with ``operator.index``, as exponents are in ``_as_monomial``: a float
+    raises TypeError, and a bool becomes the int it stands for."""
+    truncation = index(truncation)
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
+    return truncation
 
 
 def _sweep_row(row: list[int], step: int) -> None:
@@ -498,7 +503,7 @@ class TruncSeries2(_TermMap):
     __slots__ = ("_truncation", "_ray")
 
     def __init__(self, truncation: int, terms: Mapping | Iterable = ()) -> None:
-        _check_truncation(truncation)
+        truncation = _check_truncation(truncation)
         items = terms.items() if isinstance(terms, Mapping) else terms
         collected = _collect(items)
         for mono in collected:
@@ -528,7 +533,7 @@ class TruncSeries2(_TermMap):
     @classmethod
     def from_poly(cls, poly: Poly2, truncation: int) -> "TruncSeries2":
         """The polynomial viewed as a series: terms beyond the bound drop."""
-        _check_truncation(truncation)
+        truncation = _check_truncation(truncation)
         return cls._from_rows(truncation, _padded(_clipped(poly._rows, truncation), truncation))
 
     @classmethod
@@ -610,7 +615,7 @@ def geometric_series(mono: MonomialLike, truncation: int) -> TruncSeries2:
     m = _as_monomial(mono)
     if m.degree == 0:
         raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
-    _check_truncation(truncation)
+    truncation = _check_truncation(truncation)
     series = TruncSeries2.__new__(TruncSeries2)
     series._truncation, series._terms, series._ray = truncation, None, m
     return series  # _rows stays unset until TruncSeries2.__getattr__ builds it
@@ -637,6 +642,7 @@ class RationalExpr:
         sweep over the rows (see ``geometric_series``). Numerator terms beyond
         the bound drop up front, and factors of degree beyond it expand to 1;
         neither affects a retained coefficient, nor does the factor order."""
+        truncation = _check_truncation(truncation)
         series = TruncSeries2.from_poly(self.numerator, truncation)
         for mono in self.denominator_factors:
             if mono.degree > truncation:

@@ -272,9 +272,9 @@ def test_ppartition_on_a_deep_chain(capsys, tmp_path):
     assert out.strip() == "1 + b + 2*b^2 + 3*b^3 + 5*b^4"
 
 
-def test_ppartition_deep_oracle_hint_names_its_own_inputs(capsys, tmp_path):
-    # The oracle's search keeps its own stack, so an 1100-element chain,
-    # deeper than the interpreter's recursion limit, is enumerated like any
+def test_ppartition_oracle_matches_on_a_deep_chain(capsys, tmp_path):
+    # The oracle is a loop over the elements, so an 1100-element chain,
+    # deeper than the interpreter's recursion limit, is counted like any
     # other poset.
     lines = ["elements 1100"] + [f"cover {j} {j + 1}" for j in range(1, 1100)]
     path = tmp_path / "deep-chain.poset"
@@ -639,7 +639,7 @@ def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, hint)
     assert out == ""
 
 
-def test_deep_oracle_search_is_refused_before_it_starts(capsys):
+def test_djsw_product_oracle_at_trunc_200_passes_in_seconds(capsys):
     # The count by (last link, part sum) passes where a search object by
     # object over the 5 * 200 + 1 elements of the length-T diamond would run
     # for far longer than this bound.
@@ -661,8 +661,11 @@ def test_deep_oracle_search_is_refused_before_it_starts(capsys):
         # interpreter's default recursion limit
         (("schmidt", "--d", "1", "--M", "1200", "--trunc", "3"), 5.0),
         (("multifold", "--folds", ",".join(["1"] * 600), "--trunc", "2"), 5.0),
+        # 40 elements at T = 40: the P-partition oracle counts by frontier
+        # state, where a search object by object runs for minutes
+        (("multifold", "--folds", "3,1,4,1,5,9,2,6", "--trunc", "40"), 5.0),
     ],
-    ids=["apr", "schmidt", "multifold"],
+    ids=["apr", "schmidt", "multifold", "multifold-trunc-40"],
 )
 def test_large_oracle_targets_pass_in_seconds(capsys, argv, seconds):
     start = time.monotonic()

@@ -16,11 +16,12 @@ from diamondgf.diamonds import (
 from diamondgf.oracle import (
     enumerate_diamonds,
     enumerate_infinite_univariate,
+    enumerate_ppartitions,
     schmidt_oracle,
 )
 from diamondgf.permstat import DTooLarge, djsw_recursion, euler_mahonian
 from diamondgf.poset import DiamondSpec, build_diamond_poset, stanley_sigma
-from diamondgf.series import Monomial2, Poly2, RationalExpr
+from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2
 from diamondgf.verify import verify_djsw_product
 
 
@@ -392,3 +393,40 @@ def test_sigma_univariate_examples():
     assert sigma_univariate(DiamondSpec.uniform(2, 1), 0) == [1]
     for length in (8, 9):
         assert sigma_univariate(DiamondSpec.uniform(2, length), 8) == apr_product(8)
+
+
+_SPEC = DiamondSpec((2, 1))
+_POSET, _TAGS = build_diamond_poset(_SPEC)
+
+# Every public entry point that takes a truncation, called with T = t.
+TRUNCATED_ENTRIES = {
+    "sigma_closed": lambda t: sigma_closed(1, 1, t),
+    "sigma_multifold_closed": lambda t: sigma_multifold_closed(_SPEC, t),
+    "sigma_univariate": lambda t: sigma_univariate(_SPEC, t),
+    "schmidt_closed": lambda t: schmidt_closed(1, 2, t),
+    "schmidt_product": lambda t: schmidt_product(1, t),
+    "apr_product": lambda t: apr_product(t),
+    "djsw_product": lambda t: djsw_product(2, t),
+    "enumerate_ppartitions": lambda t: enumerate_ppartitions(_POSET, _TAGS, t),
+    "enumerate_diamonds": lambda t: enumerate_diamonds(_SPEC, t),
+    "enumerate_infinite_univariate": lambda t: enumerate_infinite_univariate(2, t),
+    "schmidt_oracle": lambda t: schmidt_oracle(1, 2, t),
+    "stanley_sigma": lambda t: stanley_sigma(_POSET, _TAGS, t),
+    "TruncSeries2": lambda t: TruncSeries2(t, {}),
+    "RationalExpr.expand": lambda t: RationalExpr(Poly2.one(), ((0, 1),)).expand(t),
+}
+
+
+@pytest.mark.parametrize("entry", TRUNCATED_ENTRIES.values(), ids=TRUNCATED_ENTRIES)
+def test_a_float_truncation_is_refused(entry):
+    with pytest.raises(TypeError):
+        entry(2.0)
+
+
+@pytest.mark.parametrize("entry", TRUNCATED_ENTRIES.values(), ids=TRUNCATED_ENTRIES)
+def test_a_bool_truncation_is_read_as_the_int_it_stands_for(entry):
+    result = entry(True)
+    assert result == entry(1)
+    if isinstance(result, TruncSeries2):
+        assert type(result.truncation) is int
+        assert repr(result).startswith("TruncSeries2[T=1]")

@@ -14,6 +14,7 @@ from diamondgf.oracle import (
 from diamondgf.poset import (
     DiamondSpec,
     Poset,
+    build_diamond_poset,
     jordan_holder,
     stanley_sigma,
 )
@@ -146,6 +147,63 @@ def test_ppartitions_match_exhaustive_search(poset_and_tags, truncation):
         key = (fold_sum, sum(values) - fold_sum)
         counts[key] = counts.get(key, 0) + 1
     assert enumerate_ppartitions(p, tags, truncation) == TruncSeries2(truncation, counts)
+
+
+def _object_search(p, tags, truncation):
+    # Every P-partition visited one at a time by a depth-first search on an
+    # explicit stack, in label order: element k ranges from the largest
+    # value of its lower covers up to the unspent budget shared with the
+    # elements above it, and the last element's values are counted in one
+    # loop.
+    c = p.size
+    lowers = [()] + [p.lower_covers(k) for k in range(1, c + 1)]
+    shares = [1] * (c + 1)
+    for j in range(1, c + 1):
+        below = p.down_mask(j)
+        for k in range(1, j):
+            if below >> k & 1:
+                shares[k] += 1
+    is_fold = [False] + [tag == "a" for tag in tags]
+    values, caps = [0] * (c + 1), [0] * (c + 1)
+    spent_a, spent_b = [0] * (c + 1), [0] * (c + 1)
+    counts = {}
+    k, entering = 1, True
+    while k:
+        if entering:
+            weight_a, weight_b = spent_a[k], spent_b[k]
+            low = max((values[j] for j in lowers[k]), default=0)
+            cap = (truncation - weight_a - weight_b) // shares[k]
+            if k == c:
+                for m in range(low, cap + 1):
+                    key = (weight_a + m, weight_b) if is_fold[k] else (weight_a, weight_b + m)
+                    counts[key] = counts.get(key, 0) + 1
+                k, entering = k - 1, False
+                continue
+            values[k], caps[k] = low, cap
+        else:
+            values[k] += 1
+        m = values[k]
+        if m > caps[k]:
+            k, entering = k - 1, False
+            continue
+        spent_a[k + 1] = spent_a[k] + m if is_fold[k] else spent_a[k]
+        spent_b[k + 1] = spent_b[k] if is_fold[k] else spent_b[k] + m
+        k, entering = k + 1, True
+    return TruncSeries2(truncation, counts)
+
+
+@oracle_settings
+@given(small_posets(max_size=7), st.integers(0, 10))
+def test_frontier_count_matches_the_object_search(poset_and_tags, truncation):
+    p, tags = poset_and_tags
+    assert enumerate_ppartitions(p, tags, truncation) == _object_search(p, tags, truncation)
+
+
+@oracle_settings
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 12))
+def test_frontier_count_matches_the_object_search_on_diamonds(folds, truncation):
+    p, tags = build_diamond_poset(DiamondSpec(tuple(folds)))
+    assert enumerate_ppartitions(p, tags, truncation) == _object_search(p, tags, truncation)
 
 
 def _unpruned_schmidt(d, length, truncation):
