@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import diamonds, oracle, permstat, poset as posets, series, verify
+from . import budget, diamonds, oracle, permstat, poset as posets, series, verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,11 +40,6 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
-def _lift(args, guard: int) -> int:
-    """The guard to enforce: the default, or with --force none at all."""
-    return sys.maxsize if args.force else guard
-
-
 # --- command handlers -------------------------------------------------------
 
 
@@ -65,8 +60,7 @@ def _print_coeffs(coeffs, as_json: bool) -> None:
 
 
 def _cmd_em(args) -> int:
-    max_d = _lift(args, permstat.MAX_ENUM_D)
-    _print_terms(permstat.euler_mahonian(args.d, max_d), args.json, ("x", "y"))
+    _print_terms(permstat.euler_mahonian(args.d), args.json, ("x", "y"))
     return EXIT_OK
 
 
@@ -98,8 +92,7 @@ def _cmd_sigma(args) -> int:
     else:
         length = args.M if args.M is not None else 1
         if args.schmidt:
-            max_d = _lift(args, permstat.MAX_ENUM_D)
-            _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc, max_d), args.json)
+            _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc), args.json)
             return EXIT_OK
         spec = posets.DiamondSpec.uniform(args.d, length)
 
@@ -114,21 +107,20 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_verify(args) -> int:
     target = args.target
-    max_d, max_size = _lift(args, permstat.MAX_ENUM_D), _lift(args, posets.MAX_JH_SIZE)
     if target == "theorem1":
-        report = verify.verify_theorem1(args.dmax, max_d)
+        report = verify.verify_theorem1(args.dmax)
     elif target == "main":
-        report = verify.verify_main(args.d, args.M, args.trunc, max_d, max_size)
+        report = verify.verify_main(args.d, args.M, args.trunc)
     elif target == "multifold":
         report = verify.verify_multifold(_parse_folds(args.folds), args.trunc)
     elif target == "schmidt":
-        report = verify.verify_schmidt(args.d, args.M, args.trunc, max_d)
+        report = verify.verify_schmidt(args.d, args.M, args.trunc)
     elif target == "stanley":
-        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed, max_size)
+        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed)
     elif target == "apr":
         report = verify.verify_apr(args.trunc)
     else:  # djsw-product
-        report = verify.verify_djsw_product(args.d, args.trunc, max_d)
+        report = verify.verify_djsw_product(args.d, args.trunc)
 
     if args.json:
         print(json.dumps(report.as_json_dict(), sort_keys=True))
@@ -158,12 +150,9 @@ def _cmd_ppartition(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    max_size = _lift(args, posets.MAX_JH_SIZE)
-    declared = posets._declared_size(text)  # read before the parser builds that many elements
-    if declared > max_size:
-        raise posets.PosetTooLarge(f"poset has {declared} elements, guard is {max_size}")
+    posets.check_size(posets._declared_size(text))  # before the parser builds the elements
     p, tags = posets.parse_poset_file(text)
-    stanley = posets.stanley_sigma(p, tags, args.trunc, max_size)
+    stanley = posets.stanley_sigma(p, tags, args.trunc)
     if not args.oracle:
         _print_terms(stanley, args.json)
         return EXIT_OK
@@ -274,7 +263,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        with budget.lifted(args.force):  # the one place that lifts a guard
+            return args.handler(args)
     except (permstat.DTooLarge, posets.PosetTooLarge) as exc:
         print(f"error: {exc}; use --force to override", file=sys.stderr)
         return EXIT_USAGE

@@ -41,7 +41,7 @@ import functools
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .permstat import MAX_ENUM_D, djsw_recursion, eulerian
+from .permstat import djsw_recursion, eulerian
 from .poset import DiamondSpec
 from .series import Monomial2, Poly2, RationalExpr, TruncSeries2, _check_truncation
 
@@ -223,9 +223,7 @@ def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
     return _univariate(numerators, (m.exp_b for m in denominator), truncation)
 
 
-def schmidt_closed(
-    d: int, length: int, truncation: int, max_d: int = MAX_ENUM_D
-) -> list[int]:
+def schmidt_closed(d: int, length: int, truncation: int) -> list[int]:
     """Length-M diamonds counted by link sum only.
 
     This is the first variable of ``sigma_closed`` set to 1 before
@@ -234,14 +232,14 @@ def schmidt_closed(
     """
     truncation = _check_truncation(truncation)
     _check_dm(d, length)
-    e_d = eulerian(d, max_d)
+    e_d = eulerian(d)
     numerators, denominator = _multifold_factors(
         DiamondSpec.uniform(d, length), lambda _: e_d, lambda m: Monomial2(0, m.exp_b), truncation
     )
     return _univariate(numerators, (m.exp_b for m in denominator), truncation)
 
 
-def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[int]:
+def schmidt_product(d: int, truncation: int) -> list[int]:
     """The infinite links-only product prod_{n>=1} E_d(q^n, 1)/(1-q^n)^{d+1},
     truncated by keeping factors n = 1..T."""
     truncation = _check_truncation(truncation)
@@ -249,7 +247,7 @@ def schmidt_product(d: int, truncation: int, max_d: int = MAX_ENUM_D) -> list[in
         raise ValueError("d must be at least 1")
     images = ((Monomial2(0, n), Monomial2(0, 0)) for n in range(1, truncation + 1))
     return _univariate(
-        _substituted(eulerian(d, max_d), images, truncation),
+        _substituted(eulerian(d), images, truncation),
         (n for n in range(1, truncation + 1) for _ in range(d + 1)),
         truncation,
     )

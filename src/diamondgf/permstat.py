@@ -26,6 +26,7 @@ import itertools
 from collections import Counter
 from operator import add
 
+from . import budget
 from .series import Monomial2, Poly2
 
 # Enumerating S_d costs d! tally increments: about 0.04 s for 9! and 0.5 s
@@ -44,15 +45,14 @@ class DTooLarge(ValueError):
     """Permutation enumeration requested beyond the factorial-size guard."""
 
 
-def check_enum_guard(d: int, max_d: int) -> None:
-    """Refuse d < 1, and d beyond the enumeration guard with DTooLarge."""
+def check_enum_guard(d: int) -> None:
+    """Refuse d < 1, and d > MAX_ENUM_D unless ``budget.lifted()``."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    if d > max_d:
-        raise DTooLarge(f"d={d} exceeds the enumeration guard {max_d}")
+    budget.check(d, MAX_ENUM_D, DTooLarge, f"d={d} exceeds the enumeration guard {MAX_ENUM_D}")
 
 
-def euler_mahonian(d: int, max_d: int = MAX_ENUM_D) -> Poly2:
+def euler_mahonian(d: int) -> Poly2:
     """Sum over all permutations of {1..d} of x^descents * y^(major index).
 
     Evaluated at x = y = 1 this is d!. The guard is checked on every call;
@@ -62,7 +62,7 @@ def euler_mahonian(d: int, max_d: int = MAX_ENUM_D) -> Poly2:
     >>> euler_mahonian(2).text(("x", "y"))
     '1 + x*y'
     """
-    check_enum_guard(d, max_d)
+    check_enum_guard(d)
     return _enumerate(d)
 
 
@@ -111,9 +111,9 @@ def _enumerate(d: int) -> Poly2:
     return Poly2({divmod(key, stride): count for key, count in counts.items()})
 
 
-def eulerian(d: int, max_d: int = MAX_ENUM_D) -> Poly2:
+def eulerian(d: int) -> Poly2:
     """The descent-count polynomial: euler_mahonian with y set to 1."""
-    return euler_mahonian(d, max_d).substitute(Monomial2(1, 0), Monomial2(0, 0))
+    return euler_mahonian(d).substitute(Monomial2(1, 0), Monomial2(0, 0))
 
 
 def djsw_recursion(d: int) -> Poly2:

@@ -15,13 +15,14 @@ from itertools import accumulate, compress, repeat
 from operator import add, gt, index
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import budget
 from .series import TruncSeries2, _check_truncation, geometric_series
 
 # Linear-extension counts can reach c!, so enumeration is guarded by poset
-# size; pass a larger max_size to override.
+# size; budget.lifted() lifts the guard.
 MAX_JH_SIZE = 12
 
-# The most words jordan_holder lists, whatever max_size allows: 9! = 362,880
+# The most words jordan_holder lists, lifted or not: 9! = 362,880
 # (verify main --d 9 --M 1) fits, while a 12-element antichain's 12! words
 # would take tens of GiB.
 MAX_JH_WORDS = 10**6
@@ -68,12 +69,12 @@ class Poset:
     """A partial order on {1..size} given by cover relations.
 
     Covers are stored transitively reduced. Since every cover must increase
-    the integer label, acyclicity is automatic. Each strict down-set is kept
-    as an int bitmask (bit j for element j), so a c-element poset holds
-    about c^2 / 8 bytes of down-sets rather than c^2 / 2 set entries.
+    the integer label, acyclicity is automatic. The reduction reads each
+    strict down-set as an int bitmask (bit j for element j); the masks are
+    dropped once it is done, and only the lower covers are kept.
     """
 
-    __slots__ = ("size", "covers", "_down", "_lowers")
+    __slots__ = ("size", "covers", "_lowers")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         if size < 1:
@@ -109,18 +110,10 @@ class Poset:
 
         self.size = size
         self.covers = frozenset(reduced)
-        self._down = tuple(down)
         self._lowers = {k: tuple(v) for k, v in lowers.items()}
 
     def lower_covers(self, k: int) -> tuple[int, ...]:
         return self._lowers[k]
-
-    def down_mask(self, k: int) -> int:
-        """All elements strictly below k, as a bitmask: bit j is set for
-        each such j."""
-        if not 1 <= k <= self.size:
-            raise KeyError(k)
-        return self._down[k]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
@@ -191,7 +184,13 @@ def validate_assignment(assignment: Sequence[str], size: int) -> tuple[str, ...]
     return tags
 
 
-def jordan_holder(p: Poset, max_size: int = MAX_JH_SIZE) -> list[tuple[int, ...]]:
+def check_size(size: int) -> None:
+    """Refuse more than MAX_JH_SIZE elements, unless ``budget.lifted()``."""
+    message = f"poset has {size} elements, guard is {MAX_JH_SIZE}"
+    budget.check(size, MAX_JH_SIZE, PosetTooLarge, message)
+
+
+def jordan_holder(p: Poset) -> list[tuple[int, ...]]:
     """All linear extensions as words, in lexicographic order.
 
     A word lists the poset elements so that every element appears after all
@@ -204,10 +203,9 @@ def jordan_holder(p: Poset, max_size: int = MAX_JH_SIZE) -> list[tuple[int, ...]
     some extension, so no level holds more prefixes than the answer has
     words; the last level is one group, sorted once. Each level is counted
     before it is built, and a level of more than MAX_JH_WORDS words raises
-    ValueError, whatever ``max_size`` allows.
+    ValueError, even under ``budget.lifted()``.
     """
-    if p.size > max_size:
-        raise PosetTooLarge(f"poset has {p.size} elements, guard is {max_size}")
+    check_size(p.size)
     # (the one-letter word, its bit, the mask of its lower covers), by label
     elements = [
         ((k,), 1 << k, sum(1 << j for j in p.lower_covers(k))) for k in range(1, p.size + 1)
@@ -233,12 +231,7 @@ def jordan_holder(p: Poset, max_size: int = MAX_JH_SIZE) -> list[tuple[int, ...]
     return words
 
 
-def stanley_sigma(
-    p: Poset,
-    assignment: Sequence[str],
-    truncation: int,
-    max_size: int = MAX_JH_SIZE,
-) -> TruncSeries2:
+def stanley_sigma(p: Poset, assignment: Sequence[str], truncation: int) -> TruncSeries2:
     """The P-partition generating function via linear extensions.
 
     Each extension word w contributes
@@ -263,7 +256,7 @@ def stanley_sigma(
     truncation = _check_truncation(truncation)
     tags = validate_assignment(assignment, p.size)
     c = p.size
-    words = jordan_holder(p, max_size)
+    words = jordan_holder(p)
     is_fold = (0, *(int(tag == FOLD_TAG) for tag in tags))
     depth = min(c, truncation)
     lengths = range(c - 1, 0, -1)  # the suffix length after each adjacent pair

@@ -3,7 +3,8 @@ route and compared coefficient by coefficient.
 
 Each target returns a ``VerifyReport`` that passes exactly when all of its
 comparisons agree. On a disagreement the report records the first
-differing coefficient of the first comparison that failed.
+differing coefficient of the first comparison that failed. An exponential
+route keeps its size guard, which only ``budget.lifted()`` lifts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import diamonds, oracle, permstat, poset as posets, series
+from . import budget, diamonds, oracle, permstat, poset as posets, series
 
 
 def _list_difference(left: Sequence[int], right: Sequence[int]):
@@ -109,14 +110,14 @@ def _timed(target):
 
 
 @_timed
-def verify_theorem1(dmax: int, max_d: int = permstat.MAX_ENUM_D) -> VerifyReport:
+def verify_theorem1(dmax: int) -> VerifyReport:
     """The recurrence polynomial against the d! enumeration for every
     d <= dmax."""
-    permstat.check_enum_guard(dmax, max_d)
+    permstat.check_enum_guard(dmax)
     report = VerifyReport("verify theorem1", {"dmax": dmax})
     for d in range(1, dmax + 1):
         by_recursion = permstat.djsw_recursion(d)
-        by_enumeration = permstat.euler_mahonian(d, max_d)
+        by_enumeration = permstat.euler_mahonian(d)
         equal = report.compare("recursion", by_recursion, "enumeration", by_enumeration, d=d)
         report.details.append(
             f"d={d}: {'equal' if equal else 'DIFFER'} "
@@ -127,21 +128,15 @@ def verify_theorem1(dmax: int, max_d: int = permstat.MAX_ENUM_D) -> VerifyReport
 
 
 @_timed
-def verify_main(
-    d: int,
-    length: int,
-    truncation: int,
-    max_d: int = permstat.MAX_ENUM_D,
-    max_size: int = posets.MAX_JH_SIZE,
-) -> VerifyReport:
+def verify_main(d: int, length: int, truncation: int) -> VerifyReport:
     """The uniform closed form against Stanley's formula on the diamond
     poset and against direct enumeration. Stanley's route walks the (d!)^M
-    linear extensions, so d keeps the enumeration guard."""
-    permstat.check_enum_guard(d, max_d)
+    linear extensions, within the poset-size guard and the word budget of
+    ``jordan_holder``."""
     spec = posets.DiamondSpec.uniform(d, length)
     closed = diamonds.sigma_closed(d, length, truncation)
     diamond_poset, tags = posets.build_diamond_poset(spec)
-    stanley = posets.stanley_sigma(diamond_poset, tags, truncation, max_size)
+    stanley = posets.stanley_sigma(diamond_poset, tags, truncation)
     enumerated = oracle.enumerate_diamonds(spec, truncation)
     report = VerifyReport("verify main", {"d": d, "M": length, "trunc": truncation})
     report.compare("closed", closed, "stanley", stanley)
@@ -174,13 +169,11 @@ def verify_multifold(folds: Sequence[int], truncation: int) -> VerifyReport:
 
 
 @_timed
-def verify_schmidt(
-    d: int, length: int, truncation: int, max_d: int = permstat.MAX_ENUM_D
-) -> VerifyReport:
+def verify_schmidt(d: int, length: int, truncation: int) -> VerifyReport:
     """The links-only closed form against its oracle, and against the
     infinite product on the powers where length M cannot matter."""
-    closed = diamonds.schmidt_closed(d, length, truncation, max_d)
-    product = diamonds.schmidt_product(d, truncation, max_d)
+    closed = diamonds.schmidt_closed(d, length, truncation)
+    product = diamonds.schmidt_product(d, truncation)
     enumerated = oracle.schmidt_oracle(d, length, truncation)
     window = min(length, truncation)
     report = VerifyReport("verify schmidt", {"d": d, "M": length, "trunc": truncation})
@@ -193,26 +186,23 @@ def verify_schmidt(
 
 
 @_timed
-def verify_stanley(
-    count: int, max_size: int, truncation: int, seed: int, guard: int = posets.MAX_JH_SIZE
-) -> VerifyReport:
+def verify_stanley(count: int, max_size: int, truncation: int, seed: int) -> VerifyReport:
     """Stanley's formula against direct enumeration on a seeded corpus of
     random posets; stops at the first poset that disagrees. Stanley's route
-    walks every linear extension, so ``max_size`` may not pass ``guard``."""
+    walks every linear extension, so ``max_size`` may not pass
+    ``poset.MAX_JH_SIZE`` unless ``budget.lifted()``."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if max_size > guard:
-        raise posets.PosetTooLarge(
-            f"max_size={max_size} exceeds the linear-extension guard {guard}"
-        )
+    budget.check(max_size, posets.MAX_JH_SIZE, posets.PosetTooLarge,
+                 f"max_size={max_size} exceeds the linear-extension guard {posets.MAX_JH_SIZE}")
     report = VerifyReport(
         command="verify stanley",
         parameters={"count": count, "max_size": max_size, "trunc": truncation, "seed": seed},
     )
     for index, (p, tags) in enumerate(oracle.random_poset_corpus(count, seed, max_size)):
-        lhs = posets.stanley_sigma(p, tags, truncation, guard)
+        lhs = posets.stanley_sigma(p, tags, truncation)
         rhs = oracle.enumerate_ppartitions(p, tags, truncation)
         if not report.compare("stanley", lhs, "enumeration", rhs, poset_index=index):
             report.mismatch["covers"] = sorted(list(pair) for pair in p.covers)
@@ -245,12 +235,10 @@ def verify_apr(truncation: int) -> VerifyReport:
 
 
 @_timed
-def verify_djsw_product(
-    d: int, truncation: int, max_d: int = permstat.MAX_ENUM_D
-) -> VerifyReport:
+def verify_djsw_product(d: int, truncation: int) -> VerifyReport:
     """The d-fold diamond product, built from the recurrence, against
     enumeration and against the same product built from E_d."""
-    by_enumeration = diamonds.djsw_product(d, truncation, base=permstat.euler_mahonian(d, max_d))
+    by_enumeration = diamonds.djsw_product(d, truncation, base=permstat.euler_mahonian(d))
     by_recursion = diamonds.djsw_product(d, truncation)
     enumerated = oracle.enumerate_infinite_univariate(d, truncation)
     report = VerifyReport("verify djsw-product", {"d": d, "trunc": truncation})

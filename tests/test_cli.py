@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import diamondgf
-from diamondgf import cli, diamonds, oracle, permstat, poset
+from diamondgf import budget, cli, diamonds, oracle, permstat, poset
 from diamondgf.cli import main
 from diamondgf.poset import PosetTooLarge
 from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2, geometric_series
@@ -206,15 +206,22 @@ def test_recurrence_routes_need_no_force_past_the_enumeration_guard(capsys):
     assert code == 0
     assert out.strip().endswith(" + 120*a^3*b")
     assert run(capsys, "verify", "multifold", "--folds", "10", "--trunc", "4")[0] == 0
-    # Routes that enumerate S_d, or walk (d!)^M linear extensions, still refuse.
+    # Routes that enumerate S_d still refuse.
     for argv in (
         ["sigma", "--d", "10", "--M", "1", "--trunc", "4", "--schmidt"],
-        ["verify", "main", "--d", "10", "--M", "1", "--trunc", "4"],
         ["verify", "djsw-product", "--d", "10", "--trunc", "4"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (
             2, "", "error: d=10 exceeds the enumeration guard 9; use --force to override\n"
+        )
+    # verify main enumerates no S_d, but Stanley's route would walk the 10!
+    # linear extensions, past the word budget that --force does not lift,
+    # so its refusal names the budget and no --force.
+    for force in ([], ["--force"]):
+        argv = ["verify", "main", "--d", "10", "--M", "1", "--trunc", "4", *force]
+        assert run(capsys, *argv) == (
+            2, "", f"error: poset has more than {poset.MAX_JH_WORDS} linear extensions\n"
         )
 
 
@@ -563,7 +570,8 @@ def test_verify_stanley_checks_its_bounds():
         verify_stanley(3, 0, 4, 1)
     with pytest.raises(PosetTooLarge, match="guard 12"):
         verify_stanley(3, 13, 4, 1)
-    assert verify_stanley(3, 13, 4, 1, guard=13).passed
+    with budget.lifted():
+        assert verify_stanley(3, 13, 4, 1).passed
 
 
 def test_verify_stanley_max_size_keeps_the_extension_guard(capsys):

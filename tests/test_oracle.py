@@ -158,10 +158,12 @@ def _object_search(p, tags, truncation):
     c = p.size
     lowers = [()] + [p.lower_covers(k) for k in range(1, c + 1)]
     shares = [1] * (c + 1)
+    down = [0] * (c + 1)  # strict down-sets as bitmasks, bit i for element i
     for j in range(1, c + 1):
-        below = p.down_mask(j)
+        for i in lowers[j]:
+            down[j] |= down[i] | 1 << i
         for k in range(1, j):
-            if below >> k & 1:
+            if down[j] >> k & 1:
                 shares[k] += 1
     is_fold = [False] + [tag == "a" for tag in tags]
     values, caps = [0] * (c + 1), [0] * (c + 1)

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from diamondgf import budget
 from diamondgf.permstat import DTooLarge, djsw_recursion, euler_mahonian, eulerian
 from diamondgf.series import Monomial2, Poly2
 from diamondgf.verify import verify_theorem1
@@ -43,7 +44,8 @@ def test_euler_mahonian_counts_all_permutations():
 
 
 def test_euler_mahonian_past_the_guard_equals_the_recursion():
-    assert euler_mahonian(10, max_d=10) == djsw_recursion(10)
+    with budget.lifted():
+        assert euler_mahonian(10) == djsw_recursion(10)
 
 
 def test_euler_mahonian_degrees():
@@ -67,18 +69,18 @@ def test_eulerian_palindromic():
 
 
 def test_enumeration_guard():
-    with pytest.raises(DTooLarge):
+    # The boundary sits at MAX_ENUM_D = 9: d = 9 is enumerated, d = 10 refused.
+    assert sum(euler_mahonian(9).terms.values()) == math.factorial(9)
+    with pytest.raises(DTooLarge, match="^d=10 exceeds the enumeration guard 9$"):
         euler_mahonian(10)
-    with pytest.raises(DTooLarge):
-        euler_mahonian(4, max_d=3)
-    assert sum(euler_mahonian(4, max_d=4).terms.values()) == 24
     with pytest.raises(ValueError):
         euler_mahonian(0)
 
 
 def test_the_guard_holds_after_a_lifted_call_enumerated_past_it():
     # The memo is keyed by d alone; the guard is checked on every call.
-    assert sum(euler_mahonian(10, max_d=10).terms.values()) == math.factorial(10)
+    with budget.lifted():
+        assert sum(euler_mahonian(10).terms.values()) == math.factorial(10)
     with pytest.raises(DTooLarge):
         euler_mahonian(10)
 

@@ -5,10 +5,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamondgf import poset
+from diamondgf import budget, poset
 from diamondgf.poset import (
     FOLD_TAG,
-    MAX_JH_SIZE,
     MAX_JH_WORDS,
     CycleDetected,
     DiamondSpec,
@@ -49,13 +48,23 @@ def _dual(p):
     return Poset(p.size, [(p.size + 1 - k, p.size + 1 - j) for j, k in p.covers])
 
 
+def _down_masks(p):
+    """Each element's strict down-set as a bitmask (bit j for element j),
+    at index k, grown from the lower covers in label order."""
+    down = [0] * (p.size + 1)
+    for k in range(1, p.size + 1):
+        for j in p.lower_covers(k):
+            down[k] |= down[j] | 1 << j
+    return down
+
+
 def test_q_poset():
     # d elements under one top: the top's lower covers, and one upper cover each
     q3 = Poset(4, [(1, 4), (2, 4), (3, 4)])
     assert q3.lower_covers(4) == (1, 2, 3)
     assert all(q3.lower_covers(j) == () for j in (1, 2, 3))
     assert q3.covers == frozenset({(1, 4), (2, 4), (3, 4)})
-    assert Q2.down_mask(3) == 0b110  # bits 1 and 2
+    assert _down_masks(Q2)[3] == 0b110  # bits 1 and 2
 
 
 def test_poset_validation():
@@ -92,7 +101,7 @@ def test_poset_and_parser_check_covers_alike(cover, error, message):
 def test_transitive_reduction():
     p = Poset(3, [(1, 2), (2, 3), (1, 3)])
     assert p.covers == frozenset({(1, 2), (2, 3)})
-    assert p.down_mask(3) == 0b110  # bits 1 and 2
+    assert _down_masks(p)[3] == 0b110  # bits 1 and 2
 
 
 def test_linear_sum_examples():
@@ -162,7 +171,7 @@ def test_build_diamond_poset_is_the_linear_sum_of_blocks(folds):
     assert p == reference
     for k in range(1, p.size + 1):
         assert p.lower_covers(k) == reference.lower_covers(k)
-        assert p.down_mask(k) == reference.down_mask(k)
+    assert _down_masks(p) == _down_masks(reference)
 
 
 def test_jordan_holder_examples():
@@ -179,7 +188,8 @@ def test_jordan_holder_lex_order_and_counts():
     for d in (1, 2, 3):
         for length in (1, 2, 3):
             p, _ = build_diamond_poset(DiamondSpec.uniform(d, length))
-            words = jordan_holder(p, max_size=max(12, p.size))
+            with budget.lifted():  # d = 3, M = 3 has 13 elements
+                words = jordan_holder(p)
             assert len(words) == math.factorial(d) ** length
 
 
@@ -187,17 +197,19 @@ def test_jordan_holder_guard():
     big = Poset(13, [(j, j + 1) for j in range(1, 13)])
     with pytest.raises(PosetTooLarge):
         jordan_holder(big)
-    assert len(jordan_holder(big, max_size=13)) == 1
+    with budget.lifted():
+        assert len(jordan_holder(big)) == 1
 
 
 def test_jordan_holder_word_budget(monkeypatch):
-    # The budget holds whatever max_size allows, and a level is refused
+    # The budget holds under budget.lifted() too, and a level is refused
     # before it is built: an antichain's level k holds c!/(c - k)! words.
     assert MAX_JH_WORDS >= math.factorial(9)
     monkeypatch.setattr(poset, "MAX_JH_WORDS", 6)
     assert len(jordan_holder(Poset(3))) == 6
     with pytest.raises(ValueError, match="more than 6 linear extensions") as refused:
-        jordan_holder(Poset(4), max_size=99)
+        with budget.lifted():
+            jordan_holder(Poset(4))
     assert type(refused.value) is ValueError
     assert len(jordan_holder(CHAIN3)) == 1
 
@@ -234,12 +246,12 @@ def test_stanley_sigma_validates_assignment():
         stanley_sigma(CHAIN2, ("a", "q"), 3)
 
 
-def _reference_stanley_sigma(p, assignment, truncation, max_size=MAX_JH_SIZE):
+def _reference_stanley_sigma(p, assignment, truncation):
     """Stanley's formula one denominator group at a time: each group of
     words with equal suffix monomials runs its own RationalExpr.expand."""
     tags = validate_assignment(assignment, p.size)
     c = p.size
-    words = jordan_holder(p, max_size)
+    words = jordan_holder(p)
     groups: dict[tuple[Monomial2, ...], dict[Monomial2, int]] = {}
     for w in words:
         suffix: list[Monomial2] = [Monomial2(0, 0)] * c
@@ -289,12 +301,13 @@ def test_stanley_sigma_matches_the_per_group_expansion(case, truncation):
 def _extension_count(p):
     """Linear extensions counted over down-sets: the ways to reach each
     down-set, grown one element at a time."""
+    down = _down_masks(p)
     ways = {0: 1}  # bit k set for each placed k
     for _ in range(p.size):
         grown: dict[int, int] = {}
         for placed, n in ways.items():
             for k in range(1, p.size + 1):
-                below = p.down_mask(k)
+                below = down[k]
                 if not placed >> k & 1 and below & placed == below:
                     key = placed | 1 << k
                     grown[key] = grown.get(key, 0) + n
@@ -315,8 +328,9 @@ def test_jordan_holder_lists_every_extension_once_in_order(case):
         assert all(position[j] < position[k] for j, k in p.covers)
 
 
-def test_large_poset_keeps_down_sets_small():
-    # 1001 elements: down-sets as sets would hold about half a million entries.
+def test_large_poset_retains_little_memory():
+    # 1001 elements: down-sets as sets would hold about half a million
+    # entries; the poset keeps only its lower covers.
     gc.collect()
     tracemalloc.start()
     try:
@@ -327,8 +341,9 @@ def test_large_poset_keeps_down_sets_small():
         tracemalloc.stop()
     assert p.size == 1001
     assert retained < 4 * 2**20
-    assert p.down_mask(7) == sum(1 << j for j in range(1, 7))
-    assert p.down_mask(1001) == sum(1 << j for j in range(1, 1001))
+    down = _down_masks(p)
+    assert down[7] == sum(1 << j for j in range(1, 7))
+    assert down[1001] == sum(1 << j for j in range(1, 1001))
 
 
 def test_uniform_diamond_self_dual():
