@@ -1,6 +1,10 @@
 """Command line front end: polynomial printing, coefficient tables, and
 pass/fail verification reports from ``diamondgf.verify``.
 
+One table, ``_VERIFY_TARGETS``, gives each verify target its help, options
+and library call; its subparser and dispatch are built from it, and a
+failing target's reproduce line from the report's command and parameters.
+
 Exit codes: 0 computed/verified, 1 mathematical mismatch, 2 usage or parse
 error (including guard violations without --force), 141 (128 + SIGPIPE)
 when the reader of standard output closed it early.
@@ -43,29 +47,27 @@ _nonnegative = _int_at_least(0)
 # --- command handlers -------------------------------------------------------
 
 
-def _print_terms(value, as_json: bool, names: tuple[str, str] = ("a", "b")) -> None:
-    """Print a polynomial or a truncated series."""
-    if as_json:
-        to_json = series.poly_json if isinstance(value, series.Poly2) else series.series_json
-        print(json.dumps(to_json(value), sort_keys=True))
+def _print(value, as_json: bool, names: tuple[str, str] = ("a", "b")) -> None:
+    """Print a coefficient list, a polynomial or a truncated series."""
+    if not as_json:
+        print(series.coeffs_text(value) if isinstance(value, list) else value.text(names))
+        return
+    if isinstance(value, list):
+        payload = series.coeffs_json(value)
+    elif isinstance(value, series.Poly2):
+        payload = series.poly_json(value)
     else:
-        print(value.text(names))
-
-
-def _print_coeffs(coeffs, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(series.coeffs_json(coeffs), sort_keys=True))
-    else:
-        print(series.coeffs_text(coeffs))
+        payload = series.series_json(value)
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _cmd_em(args) -> int:
-    _print_terms(permstat.euler_mahonian(args.d), args.json, ("x", "y"))
+    _print(permstat.euler_mahonian(args.d), args.json, ("x", "y"))
     return EXIT_OK
 
 
 def _cmd_recursion(args) -> int:
-    _print_terms(permstat.djsw_recursion(args.d), args.json, ("x", "y"))
+    _print(permstat.djsw_recursion(args.d), args.json, ("x", "y"))
     return EXIT_OK
 
 
@@ -92,56 +94,33 @@ def _cmd_sigma(args) -> int:
     else:
         length = args.M if args.M is not None else 1
         if args.schmidt:
-            _print_coeffs(diamonds.schmidt_closed(args.d, length, args.trunc), args.json)
+            _print(diamonds.schmidt_closed(args.d, length, args.trunc), args.json)
             return EXIT_OK
         spec = posets.DiamondSpec.uniform(args.d, length)
 
     if args.a_eq_b:
-        _print_coeffs(diamonds.sigma_univariate(spec, args.trunc), args.json)
+        _print(diamonds.sigma_univariate(spec, args.trunc), args.json)
     elif args.folds is not None:
-        _print_terms(diamonds.sigma_multifold_closed(spec, args.trunc), args.json)
+        _print(diamonds.sigma_multifold_closed(spec, args.trunc), args.json)
     else:
-        _print_terms(diamonds.sigma_closed(args.d, spec.length, args.trunc), args.json)
+        _print(diamonds.sigma_closed(args.d, spec.length, args.trunc), args.json)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    target = args.target
-    if target == "theorem1":
-        report = verify.verify_theorem1(args.dmax)
-    elif target == "main":
-        report = verify.verify_main(args.d, args.M, args.trunc)
-    elif target == "multifold":
-        report = verify.verify_multifold(_parse_folds(args.folds), args.trunc)
-    elif target == "schmidt":
-        report = verify.verify_schmidt(args.d, args.M, args.trunc)
-    elif target == "stanley":
-        report = verify.verify_stanley(args.count, args.max_size, args.trunc, args.seed)
-    elif target == "apr":
-        report = verify.verify_apr(args.trunc)
-    else:  # djsw-product
-        report = verify.verify_djsw_product(args.d, args.trunc)
-
-    if args.json:
-        print(json.dumps(report.as_json_dict(), sort_keys=True))
-    else:
-        print(report.text())
+    report = _VERIFY_TARGETS[args.target][2](args)
+    print(json.dumps(report.as_json_dict(), sort_keys=True) if args.json else report.text())
     if report.passed:
         return EXIT_OK
     import shlex  # only a failing verify needs it, so every other start-up skips it
 
-    print(f"reproduce: {shlex.join(_verify_argv(args))}", file=sys.stderr)
+    # The parameters hold every option of the target, defaults included, in order.
+    words = ["diamondgf", *report.command.split()]
+    for name, value in report.parameters.items():
+        words += [f"--{name.replace('_', '-')}", str(value)]
+    words += ["--force"] if args.force else []
+    print(f"reproduce: {shlex.join(words + ['--json'])}", file=sys.stderr)
     return EXIT_MISMATCH
-
-
-def _verify_argv(args) -> list[str]:
-    """The command line that reruns this verify target with every option
-    spelled out, defaults included, and JSON output."""
-    words = ["diamondgf", "verify", args.target]
-    for dest, value in vars(args).items():
-        if dest not in ("subcommand", "target", "handler", "json", "force"):
-            words += [f"--{dest.replace('_', '-')}", str(value)]
-    return words + (["--force"] if args.force else []) + ["--json"]
 
 
 def _cmd_ppartition(args) -> int:
@@ -154,7 +133,7 @@ def _cmd_ppartition(args) -> int:
     p, tags = posets.parse_poset_file(text)
     stanley = posets.stanley_sigma(p, tags, args.trunc)
     if not args.oracle:
-        _print_terms(stanley, args.json)
+        _print(stanley, args.json)
         return EXIT_OK
     enumerated = oracle.enumerate_ppartitions(p, tags, args.trunc)
     match = stanley == enumerated
@@ -174,6 +153,33 @@ def _cmd_ppartition(args) -> int:
 
 
 # --- parser -----------------------------------------------------------------
+
+# Per verify target: its help, its options as (flag, type, default), an
+# option with no default being required, and the call that runs it. Each
+# call looks its ``verify`` function up when it runs, not when the parser
+# is built, so a patched function is the one called.
+_VERIFY_TARGETS = {
+    "theorem1": ("recurrence equals enumeration for d <= dmax", [("--dmax", _positive, 7)],
+                 lambda a: verify.verify_theorem1(a.dmax)),
+    "main": ("closed form == Stanley expansion == enumeration",
+             [("--d", _positive, None), ("--M", _positive, None), ("--trunc", _nonnegative, 10)],
+             lambda a: verify.verify_main(a.d, a.M, a.trunc)),
+    "multifold": ("multifold closed form == enumeration",
+                  [("--folds", str, None), ("--trunc", _nonnegative, 8)],
+                  lambda a: verify.verify_multifold(_parse_folds(a.folds), a.trunc)),
+    "schmidt": ("links-only closed form == product == enumeration",
+                [("--d", _positive, None), ("--M", _positive, 10), ("--trunc", _nonnegative, 10)],
+                lambda a: verify.verify_schmidt(a.d, a.M, a.trunc)),
+    "stanley": ("random-poset equivalence suite",
+                [("--count", _positive, 200), ("--max-size", _positive, 7),
+                 ("--trunc", _nonnegative, 8), ("--seed", int, oracle.DEFAULT_CORPUS_SEED)],
+                lambda a: verify.verify_stanley(a.count, a.max_size, a.trunc, a.seed)),
+    "apr": ("plane partition diamond product, three ways", [("--trunc", _nonnegative, 20)],
+            lambda a: verify.verify_apr(a.trunc)),
+    "djsw-product": ("d-fold diamond product vs enumeration",
+                     [("--d", _positive, None), ("--trunc", _nonnegative, 12)],
+                     lambda a: verify.verify_djsw_product(a.d, a.trunc)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,45 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_parser = sub.add_parser("verify", help="run a verification target")
     verify_sub = verify_parser.add_subparsers(dest="target", required=True)
-
-    v_thm = verify_sub.add_parser("theorem1", help="recurrence equals enumeration for d <= dmax")
-    v_thm.add_argument("--dmax", type=_positive, default=7)
-
-    v_main = verify_sub.add_parser("main", help="closed form == Stanley expansion == enumeration")
-    v_main.add_argument("--d", type=_positive, required=True)
-    v_main.add_argument("--M", type=_positive, required=True)
-    v_main.add_argument("--trunc", type=_nonnegative, default=10)
-
-    v_multi = verify_sub.add_parser("multifold", help="multifold closed form == enumeration")
-    v_multi.add_argument("--folds", type=str, required=True)
-    v_multi.add_argument("--trunc", type=_nonnegative, default=8)
-
-    v_schmidt = verify_sub.add_parser("schmidt", help="links-only closed form == product == enumeration")
-    v_schmidt.add_argument("--d", type=_positive, required=True)
-    v_schmidt.add_argument("--M", type=_positive, default=10)
-    v_schmidt.add_argument("--trunc", type=_nonnegative, default=10)
-
-    v_stanley = verify_sub.add_parser("stanley", help="random-poset equivalence suite")
-    v_stanley.add_argument("--count", type=_positive, default=200)
-    v_stanley.add_argument("--max-size", type=_positive, default=7, dest="max_size")
-    v_stanley.add_argument("--trunc", type=_nonnegative, default=8)
-    v_stanley.add_argument("--seed", type=int, default=oracle.DEFAULT_CORPUS_SEED)
-
-    v_apr = verify_sub.add_parser("apr", help="plane partition diamond product, three ways")
-    v_apr.add_argument("--trunc", type=_nonnegative, default=20)
-
-    v_djsw = verify_sub.add_parser("djsw-product", help="d-fold diamond product vs enumeration")
-    v_djsw.add_argument("--d", type=_positive, required=True)
-    v_djsw.add_argument("--trunc", type=_nonnegative, default=12)
+    handlers = [(em, _cmd_em), (rec, _cmd_recursion), (sigma, _cmd_sigma)]
+    for name, (help_text, options, _) in _VERIFY_TARGETS.items():
+        target = verify_sub.add_parser(name, help=help_text)
+        for flag, kind, default in options:
+            target.add_argument(flag, type=kind, default=default, required=default is None)
+        handlers.append((target, _cmd_verify))
 
     pp = sub.add_parser("ppartition", help="generating function of a poset file")
     pp.add_argument("file")
     pp.add_argument("--trunc", type=_nonnegative, required=True)
     pp.add_argument("--oracle", action="store_true", help="also enumerate and compare")
 
-    targets = (v_thm, v_main, v_multi, v_schmidt, v_stanley, v_apr, v_djsw)
-    handlers = [(em, _cmd_em), (rec, _cmd_recursion), (sigma, _cmd_sigma), (pp, _cmd_ppartition)]
-    for command, handler in handlers + [(target, _cmd_verify) for target in targets]:
+    handlers.append((pp, _cmd_ppartition))
+    for command, handler in handlers:
         command.add_argument("--json", action="store_true")
         command.add_argument("--force", action="store_true", help="lift the size guards")
         command.set_defaults(handler=handler)

@@ -190,6 +190,18 @@ def check_size(size: int) -> None:
     budget.check(size, MAX_JH_SIZE, PosetTooLarge, message)
 
 
+def check_extensions(factors: Iterable[int]) -> None:
+    """Refuse a poset whose linear extensions, counted as the product of
+    ``factors``, number more than MAX_JH_WORDS, even under
+    ``budget.lifted()``. The product stops at the first factor that takes it
+    past the budget, so a huge count is never built."""
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > MAX_JH_WORDS:
+            raise ValueError(f"poset has more than {MAX_JH_WORDS} linear extensions")
+
+
 def jordan_holder(p: Poset) -> list[tuple[int, ...]]:
     """All linear extensions as words, in lexicographic order.
 
@@ -218,8 +230,7 @@ def jordan_holder(p: Poset) -> list[tuple[int, ...]]:
             letters = [(letter, bit) for letter, bit, needs in elements
                        if bit & missing and not needs & missing]
             groups.append((placed, prefixes, letters))
-        if sum(len(prefixes) * len(letters) for _, prefixes, letters in groups) > MAX_JH_WORDS:
-            raise ValueError(f"poset has more than {MAX_JH_WORDS} linear extensions")
+        check_extensions([sum(len(prefixes) * len(letters) for _, prefixes, letters in groups)])
         level = {}
         while groups:  # each group is freed once it has grown
             placed, prefixes, letters = groups.pop()

@@ -131,9 +131,13 @@ def verify_theorem1(dmax: int) -> VerifyReport:
 def verify_main(d: int, length: int, truncation: int) -> VerifyReport:
     """The uniform closed form against Stanley's formula on the diamond
     poset and against direct enumeration. Stanley's route walks the (d!)^M
-    linear extensions, within the poset-size guard and the word budget of
-    ``jordan_holder``."""
+    linear extensions, within the poset-size guard of ``jordan_holder``;
+    past its word budget, which nothing lifts, the target refuses before it
+    computes anything."""
     spec = posets.DiamondSpec.uniform(d, length)
+    # Each block's folds form an antichain between two links, so the diamond
+    # has prod d_k! linear extensions.
+    posets.check_extensions(k for fold in spec.folds for k in range(2, fold + 1))
     closed = diamonds.sigma_closed(d, length, truncation)
     diamond_poset, tags = posets.build_diamond_poset(spec)
     stanley = posets.stanley_sigma(diamond_poset, tags, truncation)

@@ -215,14 +215,19 @@ def test_recurrence_routes_need_no_force_past_the_enumeration_guard(capsys):
         assert (code, out, err) == (
             2, "", "error: d=10 exceeds the enumeration guard 9; use --force to override\n"
         )
-    # verify main enumerates no S_d, but Stanley's route would walk the 10!
-    # linear extensions, past the word budget that --force does not lift,
-    # so its refusal names the budget and no --force.
-    for force in ([], ["--force"]):
-        argv = ["verify", "main", "--d", "10", "--M", "1", "--trunc", "4", *force]
-        assert run(capsys, *argv) == (
-            2, "", f"error: poset has more than {poset.MAX_JH_WORDS} linear extensions\n"
-        )
+    # verify main enumerates no S_d, but Stanley's route would walk the
+    # (d!)^M linear extensions (each block's folds are an antichain between
+    # two links), past the word budget that --force does not lift. So it
+    # refuses by that count before it computes anything, naming no --force.
+    for d, length, trunc in (("10", "1", "4"), ("11", "1", "4"), ("3", "10", "10")):
+        for force in ([], ["--force"]):
+            argv = ["verify", "main", "--d", d, "--M", length, "--trunc", trunc, *force]
+            start = time.perf_counter()
+            refusal = run(capsys, *argv)
+            assert time.perf_counter() - start < 0.1, argv
+            assert refusal == (
+                2, "", f"error: poset has more than {poset.MAX_JH_WORDS} linear extensions\n"
+            ), argv
 
 
 def test_verify_unknown_target(capsys):
@@ -325,7 +330,7 @@ def test_every_guard_refusal_names_force_once(capsys, tmp_path):
         ["em", "--d", "10"],
         ["sigma", "--d", "10", "--M", "1", "--trunc", "4", "--schmidt"],
         ["verify", "theorem1", "--dmax", "10"],
-        ["verify", "main", "--d", "3", "--M", "10", "--trunc", "10"],
+        ["verify", "main", "--d", "2", "--M", "4", "--trunc", "4"],
         ["verify", "schmidt", "--d", "10"],
         ["verify", "stanley", "--max-size", "13"],
         ["verify", "djsw-product", "--d", "10"],
@@ -336,8 +341,11 @@ def test_every_guard_refusal_names_force_once(capsys, tmp_path):
         assert err.startswith("error: ") and err.endswith("; use --force to override\n"), argv
         assert err.count("--force") == 1 and err.count("\n") == 1, argv
         assert "max_size to" not in err, argv
-    code, _, err = run(capsys, "verify", "main", "--d", "3", "--M", "10", "--trunc", "10")
-    assert err == "error: poset has 41 elements, guard is 12; use --force to override\n"
+    # 13 elements but only 2^4 = 16 linear extensions: the size guard refuses,
+    # and --force lifts it.
+    code, _, err = run(capsys, "verify", "main", "--d", "2", "--M", "4", "--trunc", "4")
+    assert err == "error: poset has 13 elements, guard is 12; use --force to override\n"
+    assert run(capsys, "verify", "main", "--d", "2", "--M", "4", "--trunc", "4", "--force")[0] == 0
 
 
 @pytest.mark.parametrize("size, force", [(13, ["--force"]), (11, [])])
