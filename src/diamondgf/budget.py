@@ -1,6 +1,6 @@
-"""The one switch that lifts the size guards of the exponential routes.
+"""The one switch that lifts the size guards of the costly routes.
 
-E_d by enumeration and Stanley's sum over linear extensions refuse an input
+E_d by counting words and Stanley's sum over linear extensions refuse an input
 past their limit through ``check``, except inside ``with lifted():``, which
 holds for the current thread or task only. Nothing here lifts the
 linear-extension word budget (``poset.MAX_JH_WORDS``).

@@ -14,11 +14,11 @@ factors that can reach q^T, which is exact because every dropped factor is
 1 + O(q^{T+1}).
 
 The sigma forms and ``djsw_product`` take E_d from the recurrence
-``djsw_recursion``; only the links-only forms enumerate (``eulerian``).
+``djsw_recursion``; only the links-only forms count words (``eulerian``).
 E_d depends on d alone, so this module runs the recurrence at most once per
 d in a process and shares the result (``_descent_polynomial``); the
 recurrence itself stores nothing, so ``verify theorem1`` still compares a
-fresh run with the enumeration.
+fresh run with the count of words.
 
 For series output every numerator factor is built with the truncation as
 its bound: ``Poly2.substitute`` writes no image term of total degree above

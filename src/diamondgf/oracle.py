@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import index
 from typing import Iterator, Sequence
 
 from .poset import (
@@ -169,6 +170,7 @@ def enumerate_infinite_univariate(d: int, truncation: int) -> list[int]:
     a link u <= v and d folds in [u, v].
     """
     truncation = _check_truncation(truncation)
+    d = index(d)
     if d < 1:
         raise ValueError("d must be at least 1")
     coeffs = [0] * (truncation + 1)
@@ -207,6 +209,7 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
     (link - prev_link + 1)^d per block.
     """
     truncation = _check_truncation(truncation)
+    d, length = index(d), index(length)
     if d < 1 or length < 1:
         raise ValueError("d and length must be at least 1")
     # (last link, link sum) -> the objects that share that chain state
@@ -247,7 +250,10 @@ def random_poset(rng: random.Random, max_size: int = 7) -> tuple[Poset, tuple[st
 def random_poset_corpus(
     count: int, seed: int = DEFAULT_CORPUS_SEED, max_size: int = 7
 ) -> Iterator[tuple[Poset, tuple[str, ...]]]:
-    """A reproducible stream of random posets for equivalence testing."""
+    """A reproducible stream of random posets for equivalence testing; a
+    ``max_size`` below 1 is refused before any poset is drawn."""
+    max_size = index(max_size)
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     rng = random.Random(seed)
-    for _ in range(count):
-        yield random_poset(rng, max_size)
+    return (random_poset(rng, max_size) for _ in range(count))

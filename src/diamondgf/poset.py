@@ -143,6 +143,7 @@ class DiamondSpec:
 
     @classmethod
     def uniform(cls, d: int, length: int) -> "DiamondSpec":
+        length = index(length)
         if length < 1:
             raise ValueError("length must be at least 1")
         return cls((d,) * length)

@@ -111,9 +111,9 @@ def _timed(target):
 
 @_timed
 def verify_theorem1(dmax: int) -> VerifyReport:
-    """The recurrence polynomial against the d! enumeration for every
-    d <= dmax."""
-    permstat.check_enum_guard(dmax)
+    """The recurrence polynomial against the count of the d! words by
+    state for every d <= dmax."""
+    dmax = permstat.check_enum_guard(dmax)
     report = VerifyReport("verify theorem1", {"dmax": dmax})
     for d in range(1, dmax + 1):
         by_recursion = permstat.djsw_recursion(d)
@@ -197,8 +197,6 @@ def verify_stanley(count: int, max_size: int, truncation: int, seed: int) -> Ver
     ``poset.MAX_JH_SIZE`` unless ``budget.lifted()``."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
     budget.check(max_size, posets.MAX_JH_SIZE, posets.PosetTooLarge,
                  f"max_size={max_size} exceeds the linear-extension guard {posets.MAX_JH_SIZE}")
     report = VerifyReport(

@@ -139,7 +139,7 @@ def test_criterion_8_invariant_suite():
             for length in (1, 2, 3):
                 s = sigma_closed(d, length, 10)
                 assert all(c >= 0 for c in s.terms.values())
-        # the recurrence divides exactly at every step well past the
-        # enumeration guard; NonExactDivision would propagate as a failure
+        # the recurrence divides exactly at every step; NonExactDivision
+        # would propagate as a failure
         for d in range(1, 10):
             djsw_recursion(d)

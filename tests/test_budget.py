@@ -12,21 +12,21 @@ from diamondgf.poset import Poset, PosetTooLarge, jordan_holder, stanley_sigma
 from diamondgf.verify import verify_stanley, verify_theorem1
 
 CHAIN13 = Poset(13, [(j, j + 1) for j in range(1, 13)])
-D10 = (DTooLarge, "d=10 exceeds the enumeration guard 9")
+D26 = (DTooLarge, "d=26 exceeds the enumeration guard 25")
 C13 = (PosetTooLarge, "poset has 13 elements, guard is 12")
 
 GUARDED = {
-    "euler_mahonian": (lambda: euler_mahonian(10), D10),
-    "eulerian": (lambda: eulerian(10), D10),
-    "schmidt_closed": (lambda: schmidt_closed(10, 1, 4), D10),
-    "schmidt_product": (lambda: schmidt_product(10, 4), D10),
+    "euler_mahonian": (lambda: euler_mahonian(26), D26),
+    "eulerian": (lambda: eulerian(26), D26),
+    "schmidt_closed": (lambda: schmidt_closed(26, 1, 4), D26),
+    "schmidt_product": (lambda: schmidt_product(26, 4), D26),
     "jordan_holder": (lambda: jordan_holder(CHAIN13), C13),
     "stanley_sigma": (lambda: stanley_sigma(CHAIN13, ("b",) * 13, 3), C13),
     "verify_stanley": (
         lambda: verify_stanley(1, 13, 2, 1),
         (PosetTooLarge, "max_size=13 exceeds the linear-extension guard 12"),
     ),
-    "verify_theorem1": (lambda: verify_theorem1(10), D10),
+    "verify_theorem1": (lambda: verify_theorem1(26), D26),
 }
 
 
@@ -50,7 +50,7 @@ def _run(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["em", "--d", "10"],
+    ["em", "--d", "26"],
     ["verify", "stanley", "--count", "1", "--max-size", "13", "--trunc", "2"],
     ["verify", "main", "--d", "3", "--M", "3", "--trunc", "2"],
 ])
@@ -65,16 +65,16 @@ def test_a_command_that_fails_inside_the_lift_leaves_the_next_guarded(capsys, mo
     # lift) and an exception that escapes main both end the lift.
     refused = _run(capsys, ["verify", "main", "--d", "10", "--M", "1", "--trunc", "2", "--force"])
     assert refused[0] == 2 and "linear extensions" in refused[2]
-    assert _run(capsys, ["em", "--d", "10"])[0] == 2
+    assert _run(capsys, ["em", "--d", "26"])[0] == 2
 
     def crash(d):
         raise RuntimeError("handler failed")
 
     monkeypatch.setattr(permstat, "euler_mahonian", crash)
     with pytest.raises(RuntimeError, match="handler failed"):
-        cli.main(["em", "--d", "10", "--force"])
+        cli.main(["em", "--d", "26", "--force"])
     with pytest.raises(DTooLarge):
-        euler_mahonian(10)
+        euler_mahonian(26)
 
 
 def test_a_thread_started_inside_the_lift_is_guarded():
@@ -82,13 +82,13 @@ def test_a_thread_started_inside_the_lift_is_guarded():
 
     def probe():
         try:
-            euler_mahonian(10)
+            euler_mahonian(26)
             outcome.append("lifted")
         except DTooLarge:
             outcome.append("guarded")
 
     with budget.lifted():
-        euler_mahonian(10)  # lifted in this thread
+        euler_mahonian(26)  # lifted in this thread
         worker = threading.Thread(target=probe)
         worker.start()
         worker.join(timeout=60)
@@ -100,7 +100,7 @@ def test_lifted_false_keeps_the_guards_and_nesting_restores_the_outer_state():
     with budget.lifted():
         with budget.lifted(False):
             with pytest.raises(DTooLarge):
-                euler_mahonian(10)
-        euler_mahonian(10)
+                euler_mahonian(26)
+        euler_mahonian(26)
     with pytest.raises(DTooLarge):
-        euler_mahonian(10)
+        euler_mahonian(26)

@@ -45,7 +45,8 @@ def test_em_json(capsys):
 
 
 def test_em_guard_exit_code(capsys):
-    code, _, err = run(capsys, "em", "--d", "10")
+    assert run(capsys, "em", "--d", "25")[0] == 0
+    code, _, err = run(capsys, "em", "--d", "26")
     assert code == 2
     assert "guard" in err
 
@@ -202,19 +203,20 @@ def test_verify_main_needs_force_beyond_guard(capsys):
 
 
 def test_recurrence_routes_need_no_force_past_the_enumeration_guard(capsys):
-    code, out, _ = run(capsys, "sigma", "--d", "10", "--M", "1", "--trunc", "4")
+    code, out, _ = run(capsys, "sigma", "--d", "26", "--M", "1", "--trunc", "4")
     assert code == 0
-    assert out.strip().endswith(" + 120*a^3*b")
-    assert run(capsys, "verify", "multifold", "--folds", "10", "--trunc", "4")[0] == 0
-    # Routes that enumerate S_d still refuse.
+    assert out.strip().endswith(" + 2600*a^3*b")  # C(26, 3)
+    assert run(capsys, "verify", "multifold", "--folds", "26", "--trunc", "4")[0] == 0
+    # Routes that count the words of S_d still refuse, and run when forced.
     for argv in (
-        ["sigma", "--d", "10", "--M", "1", "--trunc", "4", "--schmidt"],
-        ["verify", "djsw-product", "--d", "10", "--trunc", "4"],
+        ["sigma", "--d", "26", "--M", "1", "--trunc", "4", "--schmidt"],
+        ["verify", "djsw-product", "--d", "26", "--trunc", "4"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (
-            2, "", "error: d=10 exceeds the enumeration guard 9; use --force to override\n"
+            2, "", "error: d=26 exceeds the enumeration guard 25; use --force to override\n"
         )
+        assert run(capsys, *argv, "--force")[0] == 0
     # verify main enumerates no S_d, but Stanley's route would walk the
     # (d!)^M linear extensions (each block's folds are an antichain between
     # two links), past the word budget that --force does not lift. So it
@@ -327,13 +329,13 @@ def test_every_guard_refusal_names_force_once(capsys, tmp_path):
     path = tmp_path / "long-chain.poset"
     path.write_text("\n".join(["elements 13"] + [f"cover {j} {j + 1}" for j in range(1, 13)]) + "\n")
     for argv in (
-        ["em", "--d", "10"],
-        ["sigma", "--d", "10", "--M", "1", "--trunc", "4", "--schmidt"],
-        ["verify", "theorem1", "--dmax", "10"],
+        ["em", "--d", "26"],
+        ["sigma", "--d", "26", "--M", "1", "--trunc", "4", "--schmidt"],
+        ["verify", "theorem1", "--dmax", "26"],
         ["verify", "main", "--d", "2", "--M", "4", "--trunc", "4"],
-        ["verify", "schmidt", "--d", "10"],
+        ["verify", "schmidt", "--d", "26"],
         ["verify", "stanley", "--max-size", "13"],
-        ["verify", "djsw-product", "--d", "10"],
+        ["verify", "djsw-product", "--d", "26"],
         ["ppartition", str(path), "--trunc", "2"],
     ):
         code, out, err = run(capsys, *argv)
@@ -438,6 +440,10 @@ MUTATIONS = [
     # E_3 = 1 + 2xy + 2xy^2 + x^2y^3
     (["theorem1", "--dmax", "4"], permstat, "euler_mahonian", _bump_at_d(3, 1, 1),
      {"d": 3, "monomial": [1, 1], "lhs_coefficient": "2", "rhs_coefficient": "3"}),
+    # The count by state runs past d = 9 too: E_11 has ten words whose one
+    # descent is at position 1 (any first letter but 1, the rest increasing).
+    (["theorem1", "--dmax", "12"], permstat, "euler_mahonian", _bump_at_d(11, 1, 1),
+     {"d": 11, "monomial": [1, 1], "lhs_coefficient": "10", "rhs_coefficient": "11"}),
     # The closed forms take E_d from the recurrence, stored once per d;
     # Stanley's route does not. The stored E_d is what they read, so its
     # corruption reaches them whatever ran earlier in the process.

@@ -19,7 +19,7 @@ from diamondgf.oracle import (
     enumerate_ppartitions,
     schmidt_oracle,
 )
-from diamondgf.permstat import DTooLarge, djsw_recursion, euler_mahonian
+from diamondgf.permstat import DTooLarge, check_enum_guard, djsw_recursion, euler_mahonian
 from diamondgf.poset import DiamondSpec, build_diamond_poset, stanley_sigma
 from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2
 from diamondgf.verify import verify_djsw_product
@@ -96,11 +96,11 @@ def test_sigma_guards():
 
 
 def test_recurrence_forms_past_the_enumeration_guard():
-    # E_d comes from the recurrence, so d = 10 needs no 10! enumeration.
-    assert sigma_closed(10, 1, 6) == enumerate_diamonds(DiamondSpec.uniform(10, 1), 6)
-    spec = DiamondSpec((10, 2))
+    # E_d comes from the recurrence, so d = 26 needs no E_26 by counting.
+    assert sigma_closed(26, 1, 6) == enumerate_diamonds(DiamondSpec.uniform(26, 1), 6)
+    spec = DiamondSpec((26, 2))
     assert sigma_multifold_closed(spec, 6) == enumerate_diamonds(spec, 6)
-    assert djsw_product(10, 6) == enumerate_infinite_univariate(10, 6)
+    assert djsw_product(26, 6) == enumerate_infinite_univariate(26, 6)
 
 
 def test_multifold_uniform_matches_single_d_form():
@@ -217,9 +217,9 @@ def test_djsw_product_guard():
         djsw_product(0, 4)
     with pytest.raises(ValueError):
         djsw_product(0, 4, base=Poly2.one())
-    # The enumerated side of the cross-check keeps the d <= 9 guard.
+    # The counted side of the cross-check keeps the d <= 25 guard.
     with pytest.raises(DTooLarge):
-        verify_djsw_product(10, 4)
+        verify_djsw_product(26, 4)
 
 
 # --- truncation cuts ----------------------------------------------------------
@@ -421,6 +421,24 @@ TRUNCATED_ENTRIES = {
 def test_a_float_truncation_is_refused(entry):
     with pytest.raises(TypeError):
         entry(2.0)
+
+
+# Every entry point that reads a fold count d or a length, given a float there.
+FLOAT_SIZES = {
+    "schmidt_oracle d": lambda: schmidt_oracle(2.0, 2, 4),
+    "schmidt_oracle length": lambda: schmidt_oracle(2, 2.0, 4),
+    "enumerate_infinite_univariate": lambda: enumerate_infinite_univariate(2.0, 4),
+    "check_enum_guard": lambda: check_enum_guard(2.0),
+    "djsw_recursion": lambda: djsw_recursion(2.0),
+    "DiamondSpec.uniform": lambda: DiamondSpec.uniform(2, 2.0),
+    "schmidt_closed": lambda: schmidt_closed(2, 2.0, 4),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_SIZES.values(), ids=FLOAT_SIZES)
+def test_a_float_size_is_refused(entry):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        entry()
 
 
 @pytest.mark.parametrize("entry", TRUNCATED_ENTRIES.values(), ids=TRUNCATED_ENTRIES)

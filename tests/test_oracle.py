@@ -21,6 +21,12 @@ from diamondgf.poset import (
 from diamondgf.series import Poly2, RationalExpr, TruncSeries2
 
 
+def test_random_poset_corpus_refuses_an_empty_size_range():
+    # Refused when called, before any poset is drawn, in the library's words.
+    with pytest.raises(ValueError, match="^max_size must be at least 1$"):
+        random_poset_corpus(1, 1, 0)
+
+
 def test_ppartitions_chain_pair():
     # pairs m1 <= m2 with m1 + m2 <= 2: (0,0), (0,1), (0,2), (1,1)
     s = enumerate_ppartitions(Poset(2, [(1, 2)]), ("b",) * 2, 2)
