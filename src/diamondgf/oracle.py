@@ -229,8 +229,9 @@ def schmidt_oracle(d: int, length: int, truncation: int) -> list[int]:
     return coeffs
 
 
-def random_poset(rng: random.Random, max_size: int = 7) -> tuple[Poset, tuple[str, ...]]:
-    """A random naturally labelled poset with a random fold/link assignment.
+def _random_poset(rng: random.Random, max_size: int) -> tuple[Poset, tuple[str, ...]]:
+    """A random naturally labelled poset of 1..max_size elements with a
+    random fold/link assignment; ``random_poset_corpus`` checks max_size.
 
     Samples an upper-triangular cover matrix at a random density; the Poset
     constructor reduces transitively implied pairs.
@@ -256,4 +257,4 @@ def random_poset_corpus(
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     rng = random.Random(seed)
-    return (random_poset(rng, max_size) for _ in range(count))
+    return (_random_poset(rng, max_size) for _ in range(count))

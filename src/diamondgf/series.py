@@ -11,6 +11,13 @@ keeps a trailing all-zero row, so equal values have equal rows. The
 variables are anonymous slots; names such as ``a, b`` or ``x, y`` are
 attached only at output time.
 
+A product with ``geometric_series(m, T, p)``, that is 1/(1 - m)^p, on the
+right is a sweep over the left factor's rows, not a convolution: when m has
+no a, one ``_sweep_row`` call per row, at most min(p, sqrt T) * sqrt T slice
+operations (sqrt T for p = 1), else p passes of O(T) list operations.
+``RationalExpr.expand`` makes one such product per distinct denominator
+factor, with p its multiplicity.
+
 Values are immutable after construction and operations are pure, so they
 are safe to share across threads, and values may share rows: no kernel
 writes to a row it did not create. The only later writes, filling cached
@@ -20,10 +27,12 @@ writes to a row it did not create. The only later writes, filling cached
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress, count, repeat, zip_longest
+from math import comb
 from operator import add, index, itemgetter, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -460,37 +469,54 @@ def _check_truncation(truncation: int) -> int:
     return truncation
 
 
-def _sweep_row(row: list[int], step: int) -> None:
-    """row[j] += row[j - step] for j increasing, in place: the row times
-    1/(1 - b^step)."""
+def _sweep_row(row: list[int], step: int, power: int = 1) -> None:
+    """The row times 1/(1 - b^step)^power, in place; at power 1, row[j] +=
+    row[j - step] for j increasing. With K = (len - 1) // step, the
+    multiples of step that fit, it costs step slice operations when step^2
+    <= len, K when 1 < power and K <= power, else power * K."""
     if step * step <= len(row):
-        # Each residue class mod step becomes its running sum.
+        # Each residue class mod step becomes its power-fold running sum.
         for start in range(step):
-            row[start::step] = accumulate(row[start::step])
+            sums = row[start::step]
+            for _ in range(power):
+                sums = accumulate(sums)
+            row[start::step] = sums
+    elif power > 1 and (len(row) - 1) // step <= power:
+        # The row adds C(k + power - 1, k) times its original entries,
+        # shifted by k*step, for k = 1..K: K slice multiply-adds, not
+        # power * K block adds.
+        original = row[:]
+        for k in range(1, (len(row) - 1) // step + 1):
+            row[k * step:] = map(add, row[k * step:], map(mul, repeat(comb(k + power - 1, k)), original))
     else:
-        # Each block of step entries adds the finished block before it.
-        for start in range(step, len(row), step):
-            row[start:start + step] = map(add, row[start:start + step], row[start - step:start])
+        # Each block of step entries adds the finished block before it, once per power.
+        for _ in range(power):
+            for start in range(step, len(row), step):
+                row[start:start + step] = map(add, row[start:start + step], row[start - step:start])
 
 
-def _sweep(rows: Rows, ray: Monomial2, truncation: int) -> Rows:
-    """The rows times 1/(1 - a^alpha b^beta): c[i][j] += c[i - alpha][j -
-    beta] in increasing (i, j), into new rows. Costs O(T) list operations
-    when alpha > 0 and O(sqrt T) per row when alpha = 0."""
+def _sweep(rows: Rows, ray: Monomial2, power: int, truncation: int) -> Rows:
+    """The rows times 1/(1 - a^alpha b^beta)^power, into new rows. When
+    alpha > 0, power passes of c[i][j] += c[i - alpha][j - beta] in
+    increasing (i, j), each O(T) list operations; when alpha = 0, one
+    ``_sweep_row`` call per row, at most min(power, sqrt T) * sqrt T slice
+    operations."""
     alpha, beta = ray
     if not alpha:
         out = [row[:] for row in rows]
         for row in out:
-            _sweep_row(row, beta)
+            _sweep_row(row, beta, power)
         return _trimmed(out)
-    # Row i gains row i - alpha, shifted by beta, while i + beta <= T; the rest are shared.
     zero = [0] * (truncation + 1)
-    out = rows[:alpha] + [zero[i:] for i in range(len(rows), alpha)]
-    for i in range(alpha, truncation - beta + 1):
-        row = rows[i] if i < len(rows) else zero[i:]
-        out.append([*row[:beta], *map(add, row[beta:], out[i - alpha])])
-    out += rows[len(out):]
-    return _trimmed(out)
+    for _ in range(power):
+        # Row i gains row i - alpha, shifted by beta, while i + beta <= T; the rest are shared.
+        out = rows[:alpha] + [zero[i:] for i in range(len(rows), alpha)]
+        for i in range(alpha, truncation - beta + 1):
+            row = rows[i] if i < len(rows) else zero[i:]
+            out.append([*row[:beta], *map(add, row[beta:], out[i - alpha])])
+        out += rows[len(out):]
+        rows = _trimmed(out)
+    return rows
 
 
 class TruncSeries2(_TermMap):
@@ -549,9 +575,10 @@ class TruncSeries2(_TermMap):
         # a product with it on the right never reads, are built on first use.
         if name != "_rows" or self._ray is None:
             raise AttributeError(name)
-        (alpha, beta), truncation = self._ray, self._truncation
-        powers = range(truncation // (alpha + beta) + 1)
-        self._rows = _series_rows(truncation, (((k * alpha, k * beta), 1) for k in powers))
+        ((alpha, beta), power), truncation = self._ray, self._truncation
+        ks = range(truncation // (alpha + beta) + 1)
+        terms = (((k * alpha, k * beta), comb(k + power - 1, k)) for k in ks)
+        self._rows = _series_rows(truncation, terms)
         return self._rows
 
     def _check_compatible(self, other: "TruncSeries2") -> None:
@@ -583,7 +610,7 @@ class TruncSeries2(_TermMap):
         self._check_compatible(other)
         bound = self._truncation
         if other._ray is not None:  # callers put the geometric factor on the right
-            rows = _sweep(self._rows, other._ray, bound)
+            rows = _sweep(self._rows, *other._ray, bound)
         else:
             rows = _padded(_row_product(self._rows, other._rows, bound), bound)
         return TruncSeries2._from_rows(bound, rows)
@@ -604,20 +631,27 @@ class TruncSeries2(_TermMap):
         return f"TruncSeries2[T={self._truncation}]({self.text()})"
 
 
-def geometric_series(mono: MonomialLike, truncation: int) -> TruncSeries2:
-    """1/(1 - m) = 1 + m + m^2 + ... through the truncation bound.
+def geometric_series(mono: MonomialLike, truncation: int, power: int = 1) -> TruncSeries2:
+    """1/(1 - m)^power = sum_k C(k + power - 1, k) m^k through the truncation
+    bound; the power is read with ``operator.index`` and must be at least 1.
 
-    The result records m, so a product with it on the right runs as the
-    sweep c[i][j] += c[i - alpha][j - beta] over the left factor's rows, O(T)
-    list operations (O(sqrt T) per row when alpha = 0); its own rows are
-    built only if read, as by a product with it on the left.
+    The result records m and the power, so a product with it on the right
+    runs as a sweep over the left factor's rows, c[i][j] += c[i - alpha][j
+    - beta] once per power: power passes of O(T) list operations when alpha
+    > 0, at most min(power, sqrt T) * sqrt T slice operations per row when
+    alpha = 0 (see ``_sweep_row``). Its own rows are built only if read, as
+    by a product with it on the left, and then carry the binomial
+    coefficients.
     """
     m = _as_monomial(mono)
     if m.degree == 0:
         raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
     truncation = _check_truncation(truncation)
+    power = index(power)
+    if power < 1:
+        raise ValueError("power must be at least 1")
     series = TruncSeries2.__new__(TruncSeries2)
-    series._truncation, series._terms, series._ray = truncation, None, m
+    series._truncation, series._terms, series._ray = truncation, None, (m, power)
     return series  # _rows stays unset until TruncSeries2.__getattr__ builds it
 
 
@@ -638,16 +672,20 @@ class RationalExpr:
         object.__setattr__(self, "denominator_factors", factors)
 
     def expand(self, truncation: int) -> TruncSeries2:
-        """Multiply the numerator by each factor's geometric expansion, a
-        sweep over the rows (see ``geometric_series``). Numerator terms beyond
-        the bound drop up front, and factors of degree beyond it expand to 1;
-        neither affects a retained coefficient, nor does the factor order."""
+        """Multiply the numerator by each distinct factor's geometric
+        expansion, raised to the factor's multiplicity: one product, one
+        row copy and one powered sweep per distinct factor, not per copy
+        (see ``geometric_series``), so prod_n (1 - b^n)^(d+1) makes T
+        products, not (d + 1) T. Numerator
+        terms beyond the bound drop up front, and factors of degree beyond it
+        expand to 1; neither affects a retained coefficient, nor does the
+        factor order or grouping."""
         truncation = _check_truncation(truncation)
         series = TruncSeries2.from_poly(self.numerator, truncation)
-        for mono in self.denominator_factors:
+        for mono, power in Counter(self.denominator_factors).items():
             if mono.degree > truncation:
                 continue
-            series = series * geometric_series(mono, truncation)
+            series = series * geometric_series(mono, truncation, power)
         return series
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import diamondgf
-from diamondgf import budget, cli, diamonds, oracle, permstat, poset
+from diamondgf import budget, cli, diamonds, oracle, permstat, poset, series
 from diamondgf.cli import main
 from diamondgf.poset import PosetTooLarge
 from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2, geometric_series
@@ -409,6 +409,13 @@ def _drop_last_factor(out, *args):
     return RationalExpr(out.numerator, out.denominator_factors[:-1])
 
 
+def _one_copy_fewer(out, mono, truncation, power=1):
+    # 1/(1 - m)^(p - 1) in place of 1/(1 - m)^p: no copy at all when p = 1
+    if power == 1:
+        return TruncSeries2.from_poly(Poly2.one(), truncation)
+    return geometric_series(mono, truncation, power - 1)
+
+
 def _swap_exponents(out, mono, truncation):
     # 1/(1 - b^j a^i) in place of 1/(1 - a^i b^j)
     return geometric_series((mono[1], mono[0]), truncation)
@@ -430,6 +437,10 @@ MUTATIONS = [
     # there fails the same check from the other side.
     (["schmidt", "--d", "2", "--M", "3", "--trunc", "6"], oracle, "schmidt_oracle",
      _bump_last, {"power": 6, "lhs": "closed", "rhs": "oracle"}),
+    # The closed form expands each repeated factor (1 - q^n)^-(d+1) as one
+    # powered series; one copy short of the power fails at q^1.
+    (["schmidt", "--d", "2", "--M", "3", "--trunc", "6"], series, "geometric_series",
+     _one_copy_fewer, {"power": 1, "lhs": "closed", "rhs": "oracle"}),
     (["main", "--d", "2", "--M", "1", "--trunc", "6"], diamonds, "sigma_closed",
      _bump(1, 1), {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley"}),
     (["multifold", "--folds", "1,2", "--trunc", "5"], diamonds, "sigma_multifold_closed",

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondgf import oracle
 from diamondgf.oracle import (
     enumerate_diamonds,
     enumerate_infinite_univariate,
@@ -25,6 +26,12 @@ def test_random_poset_corpus_refuses_an_empty_size_range():
     # Refused when called, before any poset is drawn, in the library's words.
     with pytest.raises(ValueError, match="^max_size must be at least 1$"):
         random_poset_corpus(1, 1, 0)
+
+
+def test_the_per_poset_sampler_is_private():
+    # Only the corpus draws posets, and it checks max_size; a public sampler
+    # would take max_size 0 and leak random's own "empty range" text.
+    assert not hasattr(oracle, "random_poset")
 
 
 def test_ppartitions_chain_pair():

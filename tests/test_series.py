@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diamondgf.series import (
     Monomial2,
@@ -561,6 +561,76 @@ def test_geometric_series():
     assert s == TruncSeries2(3, {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1})
     with pytest.raises(NonInvertibleFactor):
         geometric_series(Monomial2(0, 0), 3)
+
+
+@pytest.mark.parametrize(
+    "power, error, message",
+    [(2.0, TypeError, "float"), (0, ValueError, "^power must be at least 1$"),
+     (-1, ValueError, "^power must be at least 1$")],
+)
+def test_geometric_series_refuses_a_power_below_one_or_not_an_int(power, error, message):
+    with pytest.raises(error, match=message):
+        geometric_series(Monomial2(0, 1), 3, power)
+
+
+@pytest.mark.parametrize("ray", [(0, 1), (0, 3), (1, 0), (2, 1)])
+@pytest.mark.parametrize("power", [1, 2, 5])
+def test_a_powered_geometric_series_carries_binomial_coefficients(ray, power):
+    # 1/(1 - m)^p = sum_k C(k + p - 1, k) m^k, in its own terms and on the
+    # left of a product, where its rows are read; p products of the
+    # power-1 series give the same series.
+    truncation = 12
+    alpha, beta = ray
+    expected = {
+        (k * alpha, k * beta): math.comb(k + power - 1, k)
+        for k in range(truncation // (alpha + beta) + 1)
+    }
+    assert geometric_series(ray, truncation, power).terms == expected
+    copies = TruncSeries2.from_poly(ONE, truncation)
+    for _ in range(power):
+        copies = copies * geometric_series(ray, truncation)
+    assert copies.terms == expected
+    s = TruncSeries2.from_poly(ONE + X - 3 * Y * Y, truncation)
+    on_the_left = geometric_series(ray, truncation, power) * s
+    assert on_the_left == s * geometric_series(ray, truncation, power) == copies * s
+
+
+def numerators(max_exp_a):
+    return st.dictionaries(
+        st.tuples(st.integers(0, max_exp_a), st.integers(0, 8)), coefficients, max_size=6
+    ).map(Poly2)
+
+
+def factor_multisets(factors):
+    """Lists of a few distinct monomials, each up to four times, shuffled."""
+    counted = st.lists(st.tuples(factors, st.integers(1, 4)), max_size=4, unique_by=lambda fc: fc[0])
+    return counted.map(lambda pairs: [m for m, n in pairs for _ in range(n)]).flatmap(st.permutations)
+
+
+# Flat steps up to 8 against rows of up to 25 entries take every branch of
+# the row sweep at power > 1: step^2 <= len runs the running sums, a longer
+# step the binomial slices when at most power multiples of it fit in the
+# row and the block adds otherwise; a rising ray takes one pass per power.
+long_flat_rays = st.tuples(st.just(0), st.integers(1, 8))
+expansions = st.one_of(
+    st.tuples(numerators(0), factor_multisets(long_flat_rays)),
+    st.tuples(numerators(4), factor_multisets(st.one_of(long_flat_rays, rising_rays))),
+)
+
+
+@kernel_settings
+@example((Poly2({(0, 0): 1, (1, 0): 2}), [(0, 2), (1, 1), (0, 7), (0, 5), (0, 2), (1, 1), (0, 7),
+                                          (0, 2), (0, 5)]), 20)
+@given(expansions, st.integers(0, 24))
+def test_expand_equals_one_copy_of_each_factor_at_a_time(case, truncation):
+    # Grouping a repeated factor into one powered sweep changes no retained
+    # coefficient: the expansion equals the numerator times each copy's
+    # geometric series in turn, in the given order.
+    numerator, factors = case
+    expected = TruncSeries2.from_poly(numerator, truncation)
+    for m in factors:
+        expected = expected * geometric_series(m, truncation)
+    assert RationalExpr(numerator, tuple(factors)).expand(truncation) == expected
 
 
 def test_expand_rational_examples():
