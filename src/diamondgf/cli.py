@@ -159,7 +159,7 @@ def _cmd_ppartition(args) -> int:
 # call looks its ``verify`` function up when it runs, not when the parser
 # is built, so a patched function is the one called.
 _VERIFY_TARGETS = {
-    "theorem1": ("recurrence equals enumeration for d <= dmax", [("--dmax", _positive, 7)],
+    "theorem1": ("recurrence equals the count of words for d <= dmax", [("--dmax", _positive, 7)],
                  lambda a: verify.verify_theorem1(a.dmax)),
     "main": ("closed form == Stanley expansion == enumeration",
              [("--d", _positive, None), ("--M", _positive, None), ("--trunc", _nonnegative, 10)],

@@ -76,8 +76,10 @@ def _substituted(
             lowest[i] = min(j, lowest.get(i, j))
     cuts = bound is not None and base.coefficient(0, 0) == 1
     for x_image, y_image in images:
-        if cuts and all(i * x_image.degree + j * y_image.degree > bound for i, j in lowest.items()):
-            return
+        if cuts:
+            x_degree, y_degree = x_image.degree, y_image.degree
+            if all(i * x_degree + j * y_degree > bound for i, j in lowest.items()):
+                return
         yield base.substitute(x_image, y_image, bound)
 
 
@@ -85,10 +87,18 @@ def _univariate(
     numerator_factors: Iterable[Poly2], denominator_exponents: Iterable[int], truncation: int
 ) -> list[int]:
     """Coefficients of q^0..q^T of prod(numerator factors) / prod_e (1 - q^e),
-    with every factor a polynomial in the second variable alone."""
+    with every factor a polynomial in the second variable alone. Each
+    distinct exponent becomes one ``Monomial2``, shared by all its copies,
+    so ``RationalExpr`` converts and checks it once."""
     numerator = _product(numerator_factors, truncation)
-    factors = tuple(Monomial2(0, e) for e in denominator_exponents)
-    return RationalExpr(numerator, factors).expand(truncation).specialize_univariate()
+    monomials: dict[int, Monomial2] = {}
+    factors = []
+    for e in denominator_exponents:
+        m = monomials.get(e)
+        if m is None:
+            m = monomials[e] = Monomial2(0, e)
+        factors.append(m)
+    return RationalExpr(numerator, tuple(factors)).expand(truncation).specialize_univariate()
 
 
 def _check_dm(d: int, length: int) -> None:
@@ -245,7 +255,8 @@ def schmidt_product(d: int, truncation: int) -> list[int]:
     truncation = _check_truncation(truncation)
     if d < 1:
         raise ValueError("d must be at least 1")
-    images = ((Monomial2(0, n), Monomial2(0, 0)) for n in range(1, truncation + 1))
+    constant = Monomial2(0, 0)
+    images = ((Monomial2(0, n), constant) for n in range(1, truncation + 1))
     return _univariate(
         _substituted(eulerian(d), images, truncation),
         (n for n in range(1, truncation + 1) for _ in range(d + 1)),
@@ -282,7 +293,8 @@ def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> li
     if d < 1:
         raise ValueError("d must be at least 1")
     base = _descent_polynomial(d) if base is None else base
-    images = ((Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1)) for n in range(1, truncation + 1))
+    q = Monomial2(0, 1)
+    images = ((Monomial2(0, (n - 1) * (d + 1) + 1), q) for n in range(1, truncation + 1))
     return _univariate(
         _substituted(base, images, truncation),
         range(1, truncation + 1),

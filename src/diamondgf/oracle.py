@@ -10,15 +10,16 @@ Each oracle counts objects by state, the transfer-matrix method of
 Stanley, *EC1* §4.7: objects that agree on what the rest of the order can
 still see extend in the same ways, so they are counted together.
 
-- ``enumerate_ppartitions`` places the elements of any finite poset in
-  label order. Its state is the frontier: the floor of each pending
-  element, that is, the largest value among its lower covers placed so
-  far. Per state it keeps the number of partial assignments per (fold sum,
-  link sum). It only skips values that can complete no object: it caps
-  element k at ``budget // (1 + u)``, where u counts the elements above k.
-  Each of them is at least k's value, so a larger value overspends the
-  budget however the rest is filled. ``enumerate_diamonds`` is this counter
-  on the diamond poset.
+- ``enumerate_ppartitions`` places the elements of any finite poset along
+  a linear extension: label order, or a greedy one when that keeps fewer
+  elements pending at once. Its state is the frontier: the floor of each
+  pending element, that is, the largest value among its lower covers
+  placed so far. Per state it keeps the number of partial assignments per
+  (fold sum, link sum). It only skips values that can complete no object:
+  it caps element k at ``budget // (1 + u)``, where u counts the elements
+  above k. Each of them is at least k's value, so a larger value
+  overspends the budget however the rest is filled. ``enumerate_diamonds``
+  is this counter on the diamond poset.
 - ``enumerate_infinite_univariate`` keeps, per state (last link, part sum
   so far), the number of objects. Links weakly decrease away from the first
   link, the d folds of a block between links u <= v are d-tuples in
@@ -62,12 +63,13 @@ def enumerate_ppartitions(
     """Count order-preserving assignments of nonnegative integers with total
     sum <= truncation, by (fold sum, link sum).
 
-    Elements are placed in label order, so every lower cover of element k is
-    placed before it. An element is pending from its first placed lower
-    cover until it is placed itself, and its floor is the largest value
-    among its lower covers placed so far. Assignments of the elements placed
-    so far that give every pending element the same floor extend in the
-    same ways, so they are kept together, counted per (fold sum, link sum).
+    Elements are placed along a linear extension (``_placement_order``), so
+    every lower cover of element k is placed before it. An element is
+    pending from its first placed lower cover until it is placed itself,
+    and its floor is the largest value among its lower covers placed so
+    far. Assignments of the elements placed so far that give every pending
+    element the same floor extend in the same ways, so they are kept
+    together, counted per (fold sum, link sum).
     Element k takes each value m from its floor up to the unspent budget
     over the elements that share it: k and every element above k, each at
     least m. Then m raises the floors of k's upper covers to at least m.
@@ -86,21 +88,23 @@ def enumerate_ppartitions(
     for k in range(c, 0, -1):
         for u in uppers[k]:
             above[k] |= above[u] | 1 << u
+    order = _placement_order(p, uppers)
     # A (fold sum, link sum) pair is kept as one int, its code
     # (fold sum + link sum) * width + fold sum, so a value m adds m * step.
     width = truncation + 1
     pending: list[int] = []
     # the floors of the pending elements, in order -> {code: count}
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for k in range(1, c + 1):
+    for k in order:
         share = above[k].bit_count() + 1
         step = width + 1 if tags[k - 1] == FOLD_TAG else width
         at = pending.index(k) if k in pending else None
         if at is not None:
             del pending[at]
         lifts = [u in uppers[k] for u in pending]  # floors that k's value raises
-        # Upper covers whose least lower cover is k start pending, at k's value.
-        fresh = [u for u in uppers[k] if p.lower_covers(u)[0] == k]
+        # Upper covers not yet pending have k as their first placed lower
+        # cover: they start pending, at k's value.
+        fresh = [u for u in uppers[k] if u not in pending]
         pending += fresh
         moves = bool(fresh) or any(lifts)
         after: dict[tuple[int, ...], dict[int, int]] = {}
@@ -140,6 +144,49 @@ def enumerate_ppartitions(
         spent, fold_sum = divmod(code, width)
         counts[(fold_sum, spent - fold_sum)] = n
     return TruncSeries2(truncation, counts)
+
+
+def _placement_order(p: Poset, uppers: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Label order, or a greedy linear extension when that keeps fewer
+    elements pending at once: the frontier count costs about (T + 1)^w in
+    the largest pending count w, so the narrower order is taken, label
+    order on a tie. The greedy order places, among the elements whose lower
+    covers are all placed, the one that leaves the fewest pending, the
+    smaller label on a tie; it is given up as soon as it is as wide as
+    label order. No order is narrower than the most upper covers of one
+    element, all pending once it is placed, so label order at that width
+    is kept without a search. Either is a linear extension, and the count
+    depends only on the order being one."""
+    c = p.size
+    label = range(1, c + 1)
+    # In label order u is pending from its least lower cover until u itself.
+    starts = [0] * (c + 1)
+    for u in label:
+        lowers = p.lower_covers(u)
+        if lowers:
+            starts[lowers[0]] += 1
+            starts[u] -= 1
+    widest = max(itertools.accumulate(starts))
+    if widest <= max(map(len, uppers)):
+        return label
+    unplaced_lowers = [0] + [len(p.lower_covers(k)) for k in label]
+    ready = [k for k in label if not unplaced_lowers[k]]
+    pending: set[int] = set()
+    greedy = []
+    while ready:
+        # Placing k unpends k and starts each upper cover of k not yet pending.
+        k = min([(len(pending.union(uppers[k])) - (k in pending), k) for k in ready])[1]
+        pending.discard(k)
+        pending.update(uppers[k])
+        if len(pending) >= widest:
+            return label
+        ready.remove(k)
+        greedy.append(k)
+        for u in uppers[k]:
+            unplaced_lowers[u] -= 1
+            if not unplaced_lowers[u]:
+                ready.append(u)
+    return greedy
 
 
 def enumerate_diamonds(spec: DiamondSpec, truncation: int) -> TruncSeries2:

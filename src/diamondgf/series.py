@@ -249,7 +249,10 @@ class _TermMap:
 
     def first_difference(self, other: "_TermMap") -> Optional[tuple[Monomial2, int, int]]:
         """Graded-lex smallest monomial where the two differ, with both
-        coefficients, or None when equal."""
+        coefficients, or None when equal. Rows are canonical, so equal rows
+        answer None before either term map is built."""
+        if self._rows == other._rows:
+            return None
         mine, theirs = self.terms, other.terms
         for mono in sorted(set(mine) | set(theirs), key=_grlex):
             left = mine.get(mono, 0)
@@ -310,10 +313,11 @@ class Poly2(_TermMap):
         return None
 
     def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
+        if isinstance(other, int):  # compared as rows, with no Poly2 built
+            return self._rows == ([[other]] if other else [])
+        if not isinstance(other, Poly2):
             return NotImplemented
-        return self._rows == coerced._rows
+        return self._rows == other._rows
 
     def __add__(self, other):
         coerced = self._coerce(other)
@@ -665,11 +669,21 @@ class RationalExpr:
     def __post_init__(self) -> None:
         if not isinstance(self.numerator, Poly2):
             raise TypeError("numerator must be a Poly2")
-        factors = tuple(_as_monomial(m) for m in self.denominator_factors)
-        for m in factors:
-            if m.degree == 0:
-                raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
-        object.__setattr__(self, "denominator_factors", factors)
+        # Each distinct object is converted and checked once, and its copies
+        # reuse the result. Copies are found by identity, never by value:
+        # (1.0, 1) equals (1, 1) but must still raise TypeError. The tuple
+        # keeps every object alive, so no id is reused while the map is live.
+        given = tuple(self.denominator_factors)
+        converted: dict[int, Monomial2] = {}
+        factors = []
+        for mono in given:
+            m = converted.get(id(mono))
+            if m is None:
+                m = converted[id(mono)] = _as_monomial(mono)
+                if m.degree == 0:
+                    raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
+            factors.append(m)
+        object.__setattr__(self, "denominator_factors", tuple(factors))
 
     def expand(self, truncation: int) -> TruncSeries2:
         """Multiply the numerator by each distinct factor's geometric

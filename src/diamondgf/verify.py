@@ -22,6 +22,8 @@ from . import budget, diamonds, oracle, permstat, poset as posets, series
 def _list_difference(left: Sequence[int], right: Sequence[int]):
     """First power where two coefficient lists differ, with both
     coefficients (None past the end of a list), or None when equal."""
+    if left == right:
+        return None
     for n, (lc, rc) in enumerate(itertools.zip_longest(left, right)):
         if lc != rc:
             return (n, lc, rc)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,53 @@ def test_frontier_count_matches_the_object_search(poset_and_tags, truncation):
 def test_frontier_count_matches_the_object_search_on_diamonds(folds, truncation):
     p, tags = build_diamond_poset(DiamondSpec(tuple(folds)))
     assert enumerate_ppartitions(p, tags, truncation) == _object_search(p, tags, truncation)
+
+
+@st.composite
+def relabelled_posets(draw):
+    """A corpus poset, or w chains of two with covers i -> i + w, which
+    label order places worst, under the labels of a random linear
+    extension, so each stays naturally labelled."""
+    if draw(st.booleans()):
+        p, tags = next(random_poset_corpus(1, draw(st.integers(0, 10**6)), 8))
+    else:
+        w = draw(st.integers(1, 4))
+        p = Poset(2 * w, [(i, i + w) for i in range(1, w + 1)])
+        tags = tuple(draw(st.lists(st.sampled_from("ab"), min_size=2 * w, max_size=2 * w)))
+    placed, extension = set(), []
+    while len(extension) < p.size:
+        ready = [k for k in range(1, p.size + 1)
+                 if k not in placed and placed.issuperset(p.lower_covers(k))]
+        k = draw(st.sampled_from(ready))
+        placed.add(k)
+        extension.append(k)
+    label = {k: i for i, k in enumerate(extension, 1)}
+    covers = [(label[j], label[k]) for j, k in p.covers]
+    return Poset(p.size, covers), tuple(tags[k - 1] for k in extension)
+
+
+@oracle_settings
+@given(relabelled_posets(), st.integers(0, 9))
+def test_any_natural_labelling_counts_like_the_object_search(poset_and_tags, truncation):
+    # The counter places elements in label order or in a greedy linear
+    # extension, whichever keeps fewer pending; the object search always
+    # walks label order.
+    p, tags = poset_and_tags
+    assert enumerate_ppartitions(p, tags, truncation) == _object_search(p, tags, truncation)
+
+
+def test_chains_across_labels_count_in_the_narrow_order_within_a_time_bound():
+    # Covers i -> i + 10: label order keeps all ten upper elements pending at
+    # once, (T + 1)^10 floor states, and took 97 s at T = 20; the greedy
+    # order places each chain's top right after its bottom, one pending.
+    p = Poset(20, [(i, i + 10) for i in range(1, 11)])
+    start = time.monotonic()
+    counted = enumerate_ppartitions(p, ("a", "b") * 10, 20)
+    assert time.monotonic() - start < 1.0
+    # Element i is an a exactly when i is odd, so five chains hold two a's,
+    # 1/((1 - a)(1 - a^2)) each, and five two b's.
+    chains = ((1, 0), (2, 0)) * 5 + ((0, 1), (0, 2)) * 5
+    assert counted == RationalExpr(Poly2.one(), chains).expand(20)
 
 
 def _unpruned_schmidt(d, length, truncation):

@@ -746,3 +746,102 @@ def test_first_difference():
     mono, lc, rc = p.first_difference(q)
     assert (mono, lc, rc) == (Monomial2(1, 1), 2, 3)
     assert p.first_difference(p) is None
+
+
+def grlex_scan(left, right):
+    """The first difference of two term maps by a plain scan: every monomial
+    of total degree 0, 1, ... in increasing exp_a, up to the largest degree
+    either map holds."""
+    top = max((a + b for a, b in [*left, *right]), default=-1)
+    for n in range(top + 1):
+        for a in range(n + 1):
+            lc, rc = left.get((a, n - a), 0), right.get((a, n - a), 0)
+            if lc != rc:
+                return (Monomial2(a, n - a), lc, rc)
+    return None
+
+
+def poly_routes(terms):
+    """The polynomial with the given term map, built four ways."""
+    p = Poly2(terms)
+    ray = ONE - Y * Y
+    return [
+        p,
+        sum((Poly2.monomial(a, b, c) for (a, b), c in terms.items()), Poly2()),
+        (p * ray).divide_exact(ray),
+        p + (X - 5) * Y - (X - 5) * Y,
+    ]
+
+
+def series_routes(truncation, terms):
+    """The series with the given term map, built four ways."""
+    s = TruncSeries2(truncation, terms)
+    beyond = Poly2.monomial(truncation + 1, 0) + Poly2.monomial(0, truncation + 2, 7)
+    ray = Monomial2(0, 2)
+    return [
+        s,
+        TruncSeries2.from_poly(Poly2(terms) + beyond, truncation),
+        RationalExpr(Poly2(terms) * (ONE - Poly2.monomial(*ray)), (ray,)).expand(truncation),
+        s + TruncSeries2(truncation, {(0, 0): 3}) - TruncSeries2(truncation, {(0, 0): 3}),
+    ]
+
+
+@st.composite
+def term_map_pairs(draw):
+    """(x, y, x's terms, y's terms): two polynomials or two series of one
+    truncation. y is often x built another way, or x with one coefficient
+    changed, so equal values and near misses are both common."""
+    truncation = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["poly", "series"]))
+    if kind == "series":
+        drawn = series_terms(truncation)
+    else:
+        drawn = st.dictionaries(monomials, coefficients, max_size=8)
+    left = {m: c for m, c in draw(drawn).items() if c}
+    how = draw(st.sampled_from(["same", "changed", "independent"]))
+    if how == "same":
+        right = dict(left)
+    elif how == "changed":
+        in_bound = [(a, b) for a in range(truncation + 1) for b in range(truncation + 1 - a)]
+        mono = draw(st.sampled_from(in_bound) if kind == "series" else monomials)
+        right = {**left, mono: left.get(mono, 0) + draw(coefficients.filter(bool))}
+        right = {m: c for m, c in right.items() if c}
+    else:
+        right = {m: c for m, c in draw(drawn).items() if c}
+    routes = (lambda terms: series_routes(truncation, terms)) if kind == "series" else poly_routes
+    return draw(st.sampled_from(routes(left))), draw(st.sampled_from(routes(right))), left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_map_pairs())
+def test_first_difference_is_none_exactly_when_equal_else_the_grlex_first(pair):
+    x, y, left, right = pair
+    assert (x.first_difference(y) is None) == (x == y)
+    assert x.first_difference(y) == grlex_scan(left, right)
+    assert y.first_difference(x) == grlex_scan(right, left)
+
+
+def test_first_difference_of_series_checks_truncations_first():
+    # Zero series of any truncation have equal (empty) rows, so the
+    # truncation check must come before the equal-rows answer.
+    with pytest.raises(TruncationMismatch):
+        TruncSeries2(3).first_difference(TruncSeries2(4))
+
+
+def test_a_repeated_factor_object_is_checked_once_and_a_float_copy_still_fails():
+    # Copies are found by identity, never by value: (1.0, 1) equals (1, 1)
+    # and hashes alike, but must still be refused.
+    with pytest.raises(TypeError):
+        RationalExpr(ONE, ((1, 1), (1.0, 1)))
+    shared = Monomial2(0, 3)
+    with pytest.raises(NonInvertibleFactor):
+        RationalExpr(ONE, (shared, shared, (0, 0), shared))
+    same = (0, 2)
+    stored = RationalExpr(ONE, (same, Monomial2(0, 2), same)).denominator_factors
+    assert stored == (Monomial2(0, 2),) * 3
+    assert all(type(m) is Monomial2 for m in stored)
+    # A generator's items are kept alive while they are checked, so no id
+    # of a freed pair can alias a later one.
+    assert RationalExpr(ONE, ((0, n % 3 + 1) for n in range(6))).denominator_factors == tuple(
+        Monomial2(0, n % 3 + 1) for n in range(6)
+    )
