@@ -6,8 +6,9 @@ and library call; its subparser and dispatch are built from it, and a
 failing target's reproduce line from the report's command and parameters.
 
 Exit codes: 0 computed/verified, 1 mathematical mismatch, 2 usage or parse
-error (including guard violations without --force), 141 (128 + SIGPIPE)
-when the reader of standard output closed it early.
+error (including guard violations without --force, and sizes that do not
+fit in memory), 141 (128 + SIGPIPE) when the reader of standard output
+closed it early.
 """
 
 from __future__ import annotations
@@ -258,6 +259,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # estimates that before allocating it.
         hint = "a smaller --trunc" if "trunc" in vars(args) else "smaller parameters"
         print(f"error: out of memory; use {hint}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        # A size past sys.maxsize, such as the row of a 20-digit --trunc,
+        # cannot even be asked for; name the options that hold one.
+        huge = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                if type(value) is int and value > sys.maxsize]
+        hint = f"a smaller {' and '.join(huge)}" if huge else "smaller parameters"
+        print(f"error: a size does not fit in memory; use {hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -32,18 +32,25 @@ lists of ``schmidt_product`` and
 a cut read from the factor's own terms (``_substituted``). The
 ``*_rational`` builders substitute and multiply exactly, for desk-scale
 parameters. ``sigma_univariate`` never builds the bivariate triangle that
-``sigma_multifold_closed(...).specialize_univariate()`` expands.
+``sigma_multifold_closed(...).specialize_univariate()`` expands. On that
+univariate path (``_univariate``, shared by the three products,
+``schmidt_closed`` and ``sigma_univariate``) every factor whose terms past
+its constant 1 all lie above T/2 is added into one row instead of being
+multiplied in or swept, since the product of any two such terms passes
+q^T; on even T a denominator factor 1 - q^(T/2) keeps its sweep, because
+its square q^T survives.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
 from .permstat import djsw_recursion, eulerian
 from .poset import DiamondSpec
-from .series import Monomial2, Poly2, RationalExpr, TruncSeries2, _check_truncation
+from .series import Monomial2, Poly2, RationalExpr, TruncSeries2, _check_truncation, _poly
 
 
 def _product(factors: Iterable[Poly2], bound: Optional[int] = None) -> Poly2:
@@ -87,17 +94,40 @@ def _univariate(
     numerator_factors: Iterable[Poly2], denominator_exponents: Iterable[int], truncation: int
 ) -> list[int]:
     """Coefficients of q^0..q^T of prod(numerator factors) / prod_e (1 - q^e),
-    with every factor a polynomial in the second variable alone. Each
-    distinct exponent becomes one ``Monomial2``, shared by all its copies,
-    so ``RationalExpr`` converts and checks it once."""
-    numerator = _product(numerator_factors, truncation)
+    with every factor a polynomial in the second variable alone.
+
+    Every factor whose terms past its constant 1 all lie above T/2 is added
+    into one row, not multiplied in: a numerator factor 1 + g whose lowest
+    term in g is above floor(T/2) contributes g, and each copy of
+    1/(1 - q^e) with floor(T/2) < e <= T contributes q^e. Any product of two
+    such terms passes q^T, so the product of those factors is 1 plus the
+    sum of their terms through q^T. On even T, e = T/2 keeps its sweep,
+    since its q^(2e) = q^T term survives. The row is the first numerator
+    factor, and it is allocated before any factor is consumed. Each
+    distinct exponent left becomes one ``Monomial2``, shared by all its
+    copies, so ``RationalExpr`` converts and checks it once."""
+    half = truncation // 2
+    far = [0] * (truncation + 1)  # allocated before any factor is built
+    far[0] = 1
+    numerators = []
+    for factor in numerator_factors:
+        rows = factor._rows  # a factor in q alone has at most row 0
+        if len(rows) == 1 and rows[0][0] == 1 and not any(rows[0][1:half + 1]):
+            stop = min(len(rows[0]), truncation + 1)
+            far[half + 1:stop] = map(add, far[half + 1:stop], rows[0][half + 1:stop])
+        else:
+            numerators.append(factor)
     monomials: dict[int, Monomial2] = {}
     factors = []
     for e in denominator_exponents:
+        if half < e <= truncation:
+            far[e] += 1
+            continue
         m = monomials.get(e)
         if m is None:
             m = monomials[e] = Monomial2(0, e)
         factors.append(m)
+    numerator = _product([_poly([far]), *numerators], truncation)
     return RationalExpr(numerator, tuple(factors)).expand(truncation).specialize_univariate()
 
 

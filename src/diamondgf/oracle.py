@@ -169,23 +169,41 @@ def _placement_order(p: Poset, uppers: Sequence[Sequence[int]]) -> Sequence[int]
     widest = max(itertools.accumulate(starts))
     if widest <= max(map(len, uppers)):
         return label
+    import heapq  # only a greedy search needs it, so start-up skips it
+
     unplaced_lowers = [0] + [len(p.lower_covers(k)) for k in label]
-    ready = [k for k in label if not unplaced_lowers[k]]
+    # Placing k unpends k and starts each upper cover of k not yet pending,
+    # so the greedy order takes the least |uppers[k] - pending| - [k pending]
+    # among the ready k. A score only falls, by one, when an upper cover of
+    # its element starts pending; the heap gets a fresh entry then, and an
+    # entry whose score is stale, or whose element is placed, is skipped.
+    score = [len(ups) for ups in uppers]
+    heap = [(score[k], k) for k in label if not unplaced_lowers[k]]
+    heapq.heapify(heap)
+    placed = bytearray(c + 1)
     pending: set[int] = set()
     greedy = []
-    while ready:
-        # Placing k unpends k and starts each upper cover of k not yet pending.
-        k = min([(len(pending.union(uppers[k])) - (k in pending), k) for k in ready])[1]
+    while heap:
+        s, k = heapq.heappop(heap)
+        if placed[k] or s != score[k]:
+            continue
+        placed[k] = 1
         pending.discard(k)
-        pending.update(uppers[k])
+        for u in uppers[k]:
+            if u not in pending:
+                pending.add(u)
+                score[u] -= 1
+                for j in p.lower_covers(u):
+                    score[j] -= 1
+                    if not (unplaced_lowers[j] or placed[j]):
+                        heapq.heappush(heap, (score[j], j))
         if len(pending) >= widest:
             return label
-        ready.remove(k)
         greedy.append(k)
         for u in uppers[k]:
             unplaced_lowers[u] -= 1
             if not unplaced_lowers[u]:
-                ready.append(u)
+                heapq.heappush(heap, (score[u], u))
     return greedy
 
 

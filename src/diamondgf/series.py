@@ -153,6 +153,8 @@ def _row_product(left: Rows, right: Rows, bound: int) -> Rows:
     the other's rows, and each other term c a^i b^j adds c times row k of the
     other to result row i + k from column j on, one slice add clipped at the
     bound, stopping at the first row where column j is past the bound."""
+    if len(left) == 1 == len(right):
+        return _one_row_product(left[0], right[0], bound)
     if _term_count(left) * (len(right) + 1) > _term_count(right) * (len(left) + 1):
         left, right = right, left
     height = min(len(left) + len(right) - 1, bound + 1)
@@ -204,6 +206,28 @@ def _row_product(left: Rows, right: Rows, bound: int) -> Rows:
                 else:
                     target[j:end] = map(add, target[j:end], map(mul, repeat(coeff), source))
     return out
+
+
+def _one_row_product(left: list[int], right: list[int], bound: int) -> Rows:
+    """``_row_product`` of two one-row operands: the row with fewer nonzero
+    entries drives, its constant term starting the result as a scaled copy
+    of the other row, and each other entry adding one scaled slice of it."""
+    if len(left) - left.count(0) > len(right) - right.count(0):
+        left, right = right, left
+    size = min(len(left) + len(right) - 1, bound + 1)
+    if size <= 0:
+        return []
+    const = left[0]
+    out = right[:size] if const == 1 else list(map(mul, repeat(const), right[:size]))
+    out += [0] * (size - len(out))
+    rest = left[1:size]
+    for j, coeff in zip(compress(count(1), rest), filter(None, rest)):
+        stop = j + len(right)
+        if coeff == 1:
+            out[j:stop] = map(add, out[j:stop], right)
+        else:
+            out[j:stop] = map(add, out[j:stop], map(mul, repeat(coeff), right))
+    return [out]
 
 
 def _row_sum(left: Rows, right: Rows, sign: int) -> Rows:
@@ -510,7 +534,7 @@ def _sweep(rows: Rows, ray: Monomial2, power: int, truncation: int) -> Rows:
         out = [row[:] for row in rows]
         for row in out:
             _sweep_row(row, beta, power)
-        return _trimmed(out)
+        return out  # a nonzero row stays nonzero, so the rows stay trimmed
     zero = [0] * (truncation + 1)
     for _ in range(power):
         # Row i gains row i - alpha, shifted by beta, while i + beta <= T; the rest are shared.

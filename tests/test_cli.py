@@ -672,6 +672,41 @@ def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, hint)
     assert out == ""
 
 
+HUGE = "99999999999999999999"  # past sys.maxsize, so no list of that size can be asked for
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "--d", "1", "--M", "1", "--trunc", HUGE),
+        ("sigma", "--d", "1", "--M", "1", "--a-eq-b", "--trunc", HUGE),
+        ("sigma", "--d", "1", "--M", "1", "--schmidt", "--trunc", HUGE),
+        ("sigma", "--d", "1", "--trunc", "5", "--M", HUGE),
+        ("verify", "main", "--d", "1", "--M", "1", "--trunc", HUGE),
+        ("verify", "multifold", "--folds", "1,2", "--trunc", HUGE),
+        ("verify", "schmidt", "--d", "1", "--trunc", HUGE),
+        ("verify", "stanley", "--trunc", HUGE),
+        ("ppartition", "FILE", "--trunc", HUGE),
+        ("ppartition", "FILE", "--oracle", "--trunc", HUGE),
+        # The univariate path allocates its row of T + 1 entries before it
+        # builds a single factor, so these refuse at once instead of hanging.
+        ("verify", "apr", "--trunc", HUGE),
+        ("verify", "djsw-product", "--d", "2", "--trunc", HUGE),
+    ],
+)
+def test_huge_arguments_are_a_usage_error(capsys, tmp_path, argv):
+    # Exit 1 means a mismatch; a size past sys.maxsize is the caller's error,
+    # reported in one line that names the option, with no traceback.
+    path = tmp_path / "chain.poset"
+    path.write_text(CHAIN_FILE)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: a size does not fit in memory; use a smaller {argv[-2]}\n"
+
+
 def test_djsw_product_oracle_at_trunc_200_passes_in_seconds(capsys):
     # The count by (last link, part sum) passes where a search object by
     # object over the 5 * 200 + 1 elements of the length-T diamond would run

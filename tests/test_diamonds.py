@@ -448,3 +448,36 @@ def test_a_bool_truncation_is_read_as_the_int_it_stands_for(entry):
     if isinstance(result, TruncSeries2):
         assert type(result.truncation) is int
         assert repr(result).startswith("TruncSeries2[T=1]")
+
+
+@st.composite
+def univariate_inputs(draw):
+    """T in 0..40, one-row numerator factors (constant 1 or not, terms
+    anywhere up to past T, often starting at or just above T/2) and a
+    multiset of denominator exponents (repeats, T/2, and past T)."""
+    truncation = draw(st.integers(0, 40))
+    half = truncation // 2
+    near_half = st.one_of(st.just(max(half, 1)), st.integers(max(half, 1), half + 2))
+    exponents = st.one_of(st.integers(1, truncation + 3), near_half)
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):
+        terms = {(0, 0): draw(st.sampled_from([1, 1, 1, 0, 2, -1]))}
+        for e in draw(st.lists(exponents, max_size=4)):
+            terms[(0, e)] = terms.get((0, e), 0) + draw(st.integers(-3, 3))
+        factors.append(Poly2(terms))
+    denominator = draw(st.lists(st.one_of(exponents, st.just(half + 1), st.just(max(half, 1))),
+                                max_size=12))
+    return factors, denominator, truncation
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariate_inputs())
+def test_univariate_equals_the_unsplit_expansion(inputs):
+    # The reference multiplies every numerator factor in and sweeps every
+    # denominator factor; _univariate adds those whose terms all lie past
+    # T/2 into one row instead.
+    factors, exponents, truncation = inputs
+    monomials = tuple(Monomial2(0, e) for e in exponents)
+    unsplit = RationalExpr(diamonds._product(factors, truncation), monomials)
+    expected = unsplit.expand(truncation).specialize_univariate()
+    assert diamonds._univariate(iter(factors), iter(exponents), truncation) == expected

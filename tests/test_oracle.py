@@ -269,6 +269,70 @@ def test_chains_across_labels_count_in_the_narrow_order_within_a_time_bound():
     assert counted == RationalExpr(Poly2.one(), chains).expand(20)
 
 
+def _uppers(p):
+    uppers = [[] for _ in range(p.size + 1)]
+    for k in range(1, p.size + 1):
+        for j in p.lower_covers(k):
+            uppers[j].append(k)
+    return uppers
+
+
+def _greedy_placement_order(p, uppers):
+    """The placement order by a full rescan of the ready elements at each
+    step: label order when no linear extension can be narrower, else the
+    greedy extension that leaves the fewest pending, smaller label first,
+    given up for label order as soon as it is as wide."""
+    c = p.size
+    label = range(1, c + 1)
+    starts = [0] * (c + 1)
+    for u in label:
+        lowers = p.lower_covers(u)
+        if lowers:
+            starts[lowers[0]] += 1
+            starts[u] -= 1
+    widest = max(itertools.accumulate(starts))
+    if widest <= max(map(len, uppers)):
+        return label
+    unplaced_lowers = [0] + [len(p.lower_covers(k)) for k in label]
+    ready = [k for k in label if not unplaced_lowers[k]]
+    pending = set()
+    greedy = []
+    while ready:
+        k = min([(len(pending.union(uppers[k])) - (k in pending), k) for k in ready])[1]
+        pending.discard(k)
+        pending.update(uppers[k])
+        if len(pending) >= widest:
+            return label
+        ready.remove(k)
+        greedy.append(k)
+        for u in uppers[k]:
+            unplaced_lowers[u] -= 1
+            if not unplaced_lowers[u]:
+                ready.append(u)
+    return greedy
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_posets(max_size=12), relabelled_posets()))
+def test_the_heap_placement_order_is_the_greedy_rescan(poset_and_tags):
+    p, _ = poset_and_tags
+    uppers = _uppers(p)
+    assert list(oracle._placement_order(p, uppers)) == list(_greedy_placement_order(p, uppers))
+
+
+def test_the_placement_order_of_a_wide_poset_within_a_time_bound():
+    # Covers i -> i + 1000: a rescan of the up to 1000 ready elements at
+    # each of 2000 steps took about half a second; the heap touches each
+    # cover a constant number of times.
+    w = 1000
+    p = Poset(2 * w, [(i, i + w) for i in range(1, w + 1)])
+    uppers = _uppers(p)
+    start = time.monotonic()
+    order = oracle._placement_order(p, uppers)
+    assert time.monotonic() - start < 0.1
+    assert list(order) == [k for i in range(1, w + 1) for k in (i, i + w)]
+
+
 def _unpruned_schmidt(d, length, truncation):
     coeffs = [0] * (truncation + 1)
 

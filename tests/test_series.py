@@ -373,6 +373,25 @@ def test_products_match_reference_multiply(data, operands):
         assert result == expected
 
 
+# Polynomials in b alone, one row each, as on the univariate path.
+one_row_polys = st.dictionaries(st.tuples(st.just(0), st.integers(0, 30)), coefficients,
+                                max_size=12).map(Poly2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), one_row_polys, one_row_polys)
+def test_one_row_products_match_reference_multiply(data, p, q):
+    bound = data.draw(st.integers(-1, degree(p) + degree(q) + 1))
+    kept = reference_multiply(p, q, bound)
+    for result, expected in [(p * q, reference_multiply(p, q)), (p.mul_bounded(q, bound), kept),
+                             (q.mul_bounded(p, bound), kept)]:
+        assert_valid_term_map(result)
+        assert result == expected
+    if bound >= 0:
+        series = TruncSeries2.from_poly(p, bound) * TruncSeries2.from_poly(q, bound)
+        assert series == TruncSeries2.from_poly(kept, bound)
+
+
 def reference_substitute(terms, x_image, y_image):
     """Each term x^i y^j sent to x_image^i * y_image^j, one at a time."""
     out = {}
