@@ -6,6 +6,7 @@ over naturally labelled posets, and brute-force enumeration oracles that
 independently confirm every identity. All arithmetic is exact.
 """
 
+from .budget import TooLarge
 from .diamonds import (
     apr_product,
     djsw_product,
@@ -25,7 +26,6 @@ from .oracle import (
     schmidt_oracle,
 )
 from .permstat import (
-    DTooLarge,
     djsw_recursion,
     euler_mahonian,
     eulerian,
@@ -36,7 +36,6 @@ from .poset import (
     NotNaturallyLabelled,
     ParseError,
     Poset,
-    PosetTooLarge,
     build_diamond_poset,
     jordan_holder,
     parse_poset_file,
@@ -70,10 +69,9 @@ __all__ = [
     "djsw_recursion",
     "verify_theorem1",
     "VerifyReport",
-    "DTooLarge",
+    "TooLarge",
     "Poset",
     "DiamondSpec",
-    "PosetTooLarge",
     "ParseError",
     "NotNaturallyLabelled",
     "CycleDetected",

@@ -53,12 +53,7 @@ def _print(value, as_json: bool, names: tuple[str, str] = ("a", "b")) -> None:
     if not as_json:
         print(series.coeffs_text(value) if isinstance(value, list) else value.text(names))
         return
-    if isinstance(value, list):
-        payload = series.coeffs_json(value)
-    elif isinstance(value, series.Poly2):
-        payload = series.poly_json(value)
-    else:
-        payload = series.series_json(value)
+    payload = series.coeffs_json(value) if isinstance(value, list) else series.terms_json(value)
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -81,30 +76,20 @@ def _parse_folds(text: str) -> tuple[int, ...]:
 
 def _cmd_sigma(args) -> int:
     if args.folds is not None and (args.d is not None or args.M is not None):
-        print("error: use either --folds or --d/--M, not both", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("use either --folds or --d/--M, not both")
     if args.folds is None and args.d is None:
-        print("error: one of --d or --folds is required", file=sys.stderr)
-        return EXIT_USAGE
-
+        raise ValueError("one of --d or --folds is required")
     if args.folds is not None:
         spec = posets.DiamondSpec(_parse_folds(args.folds))
         if args.schmidt:
-            print("error: --schmidt requires the uniform --d/--M form", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--schmidt requires the uniform --d/--M form")
+    elif args.schmidt:
+        _print(diamonds.schmidt_closed(args.d, args.M or 1, args.trunc), args.json)
+        return EXIT_OK
     else:
-        length = args.M if args.M is not None else 1
-        if args.schmidt:
-            _print(diamonds.schmidt_closed(args.d, length, args.trunc), args.json)
-            return EXIT_OK
-        spec = posets.DiamondSpec.uniform(args.d, length)
-
-    if args.a_eq_b:
-        _print(diamonds.sigma_univariate(spec, args.trunc), args.json)
-    elif args.folds is not None:
-        _print(diamonds.sigma_multifold_closed(spec, args.trunc), args.json)
-    else:
-        _print(diamonds.sigma_closed(args.d, spec.length, args.trunc), args.json)
+        spec = posets.DiamondSpec.uniform(args.d, args.M or 1)
+    closed = diamonds.sigma_univariate if args.a_eq_b else diamonds.sigma_multifold_closed
+    _print(closed(spec, args.trunc), args.json)
     return EXIT_OK
 
 
@@ -247,7 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with budget.lifted(args.force):  # the one place that lifts a guard
             return args.handler(args)
-    except (permstat.DTooLarge, posets.PosetTooLarge) as exc:
+    except budget.TooLarge as exc:
         print(f"error: {exc}; use --force to override", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
@@ -255,8 +240,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        # A truncated series holds about T^2/2 coefficients, and nothing yet
-        # estimates that before allocating it.
+        # A truncated series holds about T^2/2 coefficients; a bivariate one
+        # past series.MAX_SERIES_CELLS is refused before it is filled.
         hint = "a smaller --trunc" if "trunc" in vars(args) else "smaller parameters"
         print(f"error: out of memory; use {hint}", file=sys.stderr)
         return EXIT_USAGE

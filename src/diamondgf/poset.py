@@ -5,7 +5,9 @@ generating function.
 Natural labelling means j below k in the order implies j < k as integers.
 One check enforces it on every cover, from code or from a poset file.
 Cover input may contain duplicates and transitively implied pairs;
-construction reduces them.
+construction reduces them. Listing linear extensions refuses more than
+MAX_JH_SIZE elements with ``budget.TooLarge``, which ``budget.lifted()``
+lifts, and more than MAX_JH_WORDS words, which nothing lifts.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ MAX_JH_WORDS = 10**6
 
 FOLD_TAG = "a"
 LINK_TAG = "b"
-
-
-class PosetTooLarge(ValueError):
-    """Linear-extension enumeration requested beyond the size guard."""
 
 
 class ParseError(ValueError):
@@ -70,8 +68,9 @@ class Poset:
 
     Covers are stored transitively reduced. Since every cover must increase
     the integer label, acyclicity is automatic. The reduction reads each
-    strict down-set as an int bitmask (bit j for element j); the masks are
-    dropped once it is done, and only the lower covers are kept.
+    strict down-set as an int bitmask (bit j for element j) in one pass by
+    label; the masks are dropped once it is done, and only the lower covers
+    are kept.
     """
 
     __slots__ = ("size", "covers", "_lowers")
@@ -79,38 +78,25 @@ class Poset:
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         if size < 1:
             raise ValueError("a poset needs at least one element")
-        raw: set[tuple[int, int]] = set()
+        raw: list[set[int]] = [set() for _ in range(size + 1)]  # the given lower covers
         for pair in covers:
             j, k = index(pair[0]), index(pair[1])
             _check_cover(j, k, size)
-            raw.add((j, k))
+            raw[k].add(j)
 
-        raw_lowers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
-        for j, k in raw:
-            raw_lowers[k].append(j)
-
-        # Strict down-sets in one ascending pass; covers only point upward.
+        # Covers point upward, so one ascending pass builds the strict
+        # down-sets. No element lies strictly below itself, so the down-sets
+        # of k's given lower covers hold exactly the implied ones.
         down = [0] * (size + 1)
+        self._lowers = {}
         for k in range(1, size + 1):
             below = 0
-            for j in raw_lowers[k]:
-                below |= down[j] | 1 << j
-            down[k] = below
-
-        reduced: set[tuple[int, int]] = set()
-        for k in range(1, size + 1):
-            for j in raw_lowers[k]:
-                implied = any(down[z] >> j & 1 for z in raw_lowers[k] if z != j)
-                if not implied:
-                    reduced.add((j, k))
-
-        lowers: dict[int, list[int]] = {k: [] for k in range(1, size + 1)}
-        for j, k in sorted(reduced):
-            lowers[k].append(j)
-
+            for j in raw[k]:
+                below |= down[j]
+            lowers = self._lowers[k] = tuple(sorted(j for j in raw[k] if not below >> j & 1))
+            down[k] = below | sum(1 << j for j in lowers)
         self.size = size
-        self.covers = frozenset(reduced)
-        self._lowers = {k: tuple(v) for k, v in lowers.items()}
+        self.covers = frozenset((j, k) for k, lowers in self._lowers.items() for j in lowers)
 
     def lower_covers(self, k: int) -> tuple[int, ...]:
         return self._lowers[k]
@@ -188,7 +174,7 @@ def validate_assignment(assignment: Sequence[str], size: int) -> tuple[str, ...]
 def check_size(size: int) -> None:
     """Refuse more than MAX_JH_SIZE elements, unless ``budget.lifted()``."""
     message = f"poset has {size} elements, guard is {MAX_JH_SIZE}"
-    budget.check(size, MAX_JH_SIZE, PosetTooLarge, message)
+    budget.check(size, MAX_JH_SIZE, message)
 
 
 def check_extensions(factors: Iterable[int]) -> None:

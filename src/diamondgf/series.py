@@ -98,6 +98,10 @@ def _collect(items: Iterable[tuple[MonomialLike, int]]) -> dict[Monomial2, int]:
 
 Rows = list[list[int]]  # rows[i][j] is the coefficient of a^i b^j
 _UNBOUNDED = sys.maxsize // 2  # beyond any degree: exponents index lists
+# The most coefficients, (T + 1)(T + 2)/2, of a bivariate series that a sweep
+# fills, lifted or not. sigma_closed(1, 1, 4400), 9.7 million cells, peaks at
+# 0.24 GiB in 1.2 s on a shared 2-core host.
+MAX_SERIES_CELLS = 10**7
 
 
 def _trimmed(rows: Rows) -> Rows:  # drops trailing all-zero rows in place
@@ -161,12 +165,7 @@ def _row_product(left: Rows, right: Rows, bound: int) -> Rows:
     if not (left and right) or height <= 0:
         return []
     const = left[0][0] if left[0] else 0
-    if not const:
-        out = []
-    elif bound == _UNBOUNDED:
-        out = list(map(list.copy, right))
-    else:
-        out = _clipped(right, bound)
+    out = _clipped(right, bound) if const else []
     if const and const != 1:
         out = [list(map(mul, repeat(const), row)) for row in out]
     for _ in range(height - len(out)):
@@ -526,15 +525,18 @@ def _sweep_row(row: list[int], step: int, power: int = 1) -> None:
 def _sweep(rows: Rows, ray: Monomial2, power: int, truncation: int) -> Rows:
     """The rows times 1/(1 - a^alpha b^beta)^power, into new rows. When
     alpha > 0, power passes of c[i][j] += c[i - alpha][j - beta] in
-    increasing (i, j), each O(T) list operations; when alpha = 0, one
-    ``_sweep_row`` call per row, at most min(power, sqrt T) * sqrt T slice
-    operations."""
+    increasing (i, j), each O(T) list operations, which fill the triangle:
+    past MAX_SERIES_CELLS cells that raises MemoryError before it starts.
+    When alpha = 0, one ``_sweep_row`` call per row, at most
+    min(power, sqrt T) * sqrt T slice operations."""
     alpha, beta = ray
     if not alpha:
         out = [row[:] for row in rows]
         for row in out:
             _sweep_row(row, beta, power)
         return out  # a nonzero row stays nonzero, so the rows stay trimmed
+    if (truncation + 1) * (truncation + 2) // 2 > MAX_SERIES_CELLS:
+        raise MemoryError(f"a series through degree {truncation} passes {MAX_SERIES_CELLS} cells")
     zero = [0] * (truncation + 1)
     for _ in range(power):
         # Row i gains row i - alpha, shifted by beta, while i + beta <= T; the rest are shared.
@@ -759,12 +761,10 @@ def terms_as_json(sorted_terms: Sequence[tuple[Monomial2, int]]) -> list[list]:
     return [[m.exp_a, m.exp_b, str(c)] for m, c in sorted_terms]
 
 
-def poly_json(poly: Poly2) -> dict:
-    return {"truncation": None, "terms": terms_as_json(poly.sorted_terms())}
-
-
-def series_json(series: TruncSeries2) -> dict:
-    return {"truncation": series.truncation, "terms": terms_as_json(series.sorted_terms())}
+def terms_json(value: Union[Poly2, TruncSeries2]) -> dict:
+    """A polynomial (truncation None) or a truncated series as JSON."""
+    truncation = value.truncation if isinstance(value, TruncSeries2) else None
+    return {"truncation": truncation, "terms": terms_as_json(value.sorted_terms())}
 
 
 def coeffs_text(coeffs: Sequence[int]) -> str:

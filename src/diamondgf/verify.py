@@ -199,8 +199,8 @@ def verify_stanley(count: int, max_size: int, truncation: int, seed: int) -> Ver
     ``poset.MAX_JH_SIZE`` unless ``budget.lifted()``."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    budget.check(max_size, posets.MAX_JH_SIZE, posets.PosetTooLarge,
-                 f"max_size={max_size} exceeds the linear-extension guard {posets.MAX_JH_SIZE}")
+    guard = posets.MAX_JH_SIZE
+    budget.check(max_size, guard, f"max_size={max_size} exceeds the linear-extension guard {guard}")
     report = VerifyReport(
         command="verify stanley",
         parameters={"count": count, "max_size": max_size, "trunc": truncation, "seed": seed},

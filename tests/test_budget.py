@@ -7,13 +7,14 @@ import pytest
 
 from diamondgf import budget, cli, permstat
 from diamondgf.diamonds import schmidt_closed, schmidt_product
-from diamondgf.permstat import DTooLarge, euler_mahonian, eulerian
-from diamondgf.poset import Poset, PosetTooLarge, jordan_holder, stanley_sigma
+from diamondgf.budget import TooLarge
+from diamondgf.permstat import djsw_recursion, euler_mahonian, eulerian
+from diamondgf.poset import Poset, jordan_holder, stanley_sigma
 from diamondgf.verify import verify_stanley, verify_theorem1
 
 CHAIN13 = Poset(13, [(j, j + 1) for j in range(1, 13)])
-D26 = (DTooLarge, "d=26 exceeds the enumeration guard 25")
-C13 = (PosetTooLarge, "poset has 13 elements, guard is 12")
+D26 = (TooLarge, "d=26 exceeds the enumeration guard 25")
+C13 = (TooLarge, "poset has 13 elements, guard is 12")
 
 GUARDED = {
     "euler_mahonian": (lambda: euler_mahonian(26), D26),
@@ -24,9 +25,10 @@ GUARDED = {
     "stanley_sigma": (lambda: stanley_sigma(CHAIN13, ("b",) * 13, 3), C13),
     "verify_stanley": (
         lambda: verify_stanley(1, 13, 2, 1),
-        (PosetTooLarge, "max_size=13 exceeds the linear-extension guard 12"),
+        (TooLarge, "max_size=13 exceeds the linear-extension guard 12"),
     ),
     "verify_theorem1": (lambda: verify_theorem1(26), D26),
+    "djsw_recursion": (lambda: djsw_recursion(61), (TooLarge, "d=61 exceeds the recurrence guard 60")),
 }
 
 
@@ -73,7 +75,7 @@ def test_a_command_that_fails_inside_the_lift_leaves_the_next_guarded(capsys, mo
     monkeypatch.setattr(permstat, "euler_mahonian", crash)
     with pytest.raises(RuntimeError, match="handler failed"):
         cli.main(["em", "--d", "26", "--force"])
-    with pytest.raises(DTooLarge):
+    with pytest.raises(TooLarge):
         euler_mahonian(26)
 
 
@@ -84,7 +86,7 @@ def test_a_thread_started_inside_the_lift_is_guarded():
         try:
             euler_mahonian(26)
             outcome.append("lifted")
-        except DTooLarge:
+        except TooLarge:
             outcome.append("guarded")
 
     with budget.lifted():
@@ -99,8 +101,8 @@ def test_a_thread_started_inside_the_lift_is_guarded():
 def test_lifted_false_keeps_the_guards_and_nesting_restores_the_outer_state():
     with budget.lifted():
         with budget.lifted(False):
-            with pytest.raises(DTooLarge):
+            with pytest.raises(TooLarge):
                 euler_mahonian(26)
         euler_mahonian(26)
-    with pytest.raises(DTooLarge):
+    with pytest.raises(TooLarge):
         euler_mahonian(26)

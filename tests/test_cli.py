@@ -12,8 +12,8 @@ import pytest
 
 import diamondgf
 from diamondgf import budget, cli, diamonds, oracle, permstat, poset, series
+from diamondgf.budget import TooLarge
 from diamondgf.cli import main
-from diamondgf.poset import PosetTooLarge
 from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2, geometric_series
 from diamondgf.verify import VerifyReport, verify_stanley
 
@@ -593,7 +593,7 @@ def test_verify_stanley_checks_its_bounds():
         verify_stanley(0, 5, 4, 1)
     with pytest.raises(ValueError, match="max_size"):
         verify_stanley(3, 0, 4, 1)
-    with pytest.raises(PosetTooLarge, match="guard 12"):
+    with pytest.raises(TooLarge, match="guard 12"):
         verify_stanley(3, 13, 4, 1)
     with budget.lifted():
         assert verify_stanley(3, 13, 4, 1).passed
@@ -664,7 +664,7 @@ def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, hint)
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(diamonds, "sigma_closed", exhausted)
+    monkeypatch.setattr(diamonds, "sigma_multifold_closed", exhausted)
     monkeypatch.setattr(permstat, "djsw_recursion", exhausted)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -705,6 +705,42 @@ def test_huge_arguments_are_a_usage_error(capsys, tmp_path, argv):
     assert time.monotonic() - start < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: a size does not fit in memory; use a smaller {argv[-2]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("recursion", "--d", HUGE),
+        ("sigma", "--d", HUGE, "--M", "1", "--trunc", "4"),
+        ("sigma", "--folds", f"1,{HUGE}", "--trunc", "4"),
+        ("verify", "multifold", "--folds", f"1,{HUGE}", "--trunc", "4"),
+    ],
+)
+def test_a_huge_d_is_refused_by_the_recurrence_guard(capsys, argv):
+    # The recurrence costs about d^5, so a huge d would run for ever; it is
+    # refused before the first step, and --force would lift the refusal.
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: d={HUGE} exceeds the recurrence guard 60; use --force to override\n"
+
+
+def test_a_bivariate_triangle_past_the_cell_budget_is_refused_before_it_is_filled():
+    # The child caps its own address space at 1 GiB, so a regression fails
+    # the time bound instead of taking the machine's memory. T = 100000
+    # needs about 5e9 cells; the sweep refuses them before it allocates a row.
+    src = str(Path(diamondgf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+              "from diamondgf.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["sigma", "--d", "1", "--M", "1", "--trunc", "100000"]
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", capped, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 2.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: out of memory; use a smaller --trunc\n"
 
 
 def test_djsw_product_oracle_at_trunc_200_passes_in_seconds(capsys):

@@ -19,7 +19,8 @@ from diamondgf.oracle import (
     enumerate_ppartitions,
     schmidt_oracle,
 )
-from diamondgf.permstat import DTooLarge, check_enum_guard, djsw_recursion, euler_mahonian
+from diamondgf.budget import TooLarge
+from diamondgf.permstat import check_enum_guard, djsw_recursion, euler_mahonian
 from diamondgf.poset import DiamondSpec, build_diamond_poset, stanley_sigma
 from diamondgf.series import Monomial2, Poly2, RationalExpr, TruncSeries2
 from diamondgf.verify import verify_djsw_product
@@ -218,7 +219,7 @@ def test_djsw_product_guard():
     with pytest.raises(ValueError):
         djsw_product(0, 4, base=Poly2.one())
     # The counted side of the cross-check keeps the d <= 25 guard.
-    with pytest.raises(DTooLarge):
+    with pytest.raises(TooLarge):
         verify_djsw_product(26, 4)
 
 

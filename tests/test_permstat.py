@@ -4,7 +4,8 @@ from itertools import permutations
 import pytest
 
 from diamondgf import budget
-from diamondgf.permstat import DTooLarge, djsw_recursion, euler_mahonian, eulerian
+from diamondgf.budget import TooLarge
+from diamondgf.permstat import djsw_recursion, euler_mahonian, eulerian
 from diamondgf.series import Monomial2, Poly2
 from diamondgf.verify import verify_theorem1
 
@@ -70,7 +71,7 @@ def test_eulerian_palindromic():
 def test_enumeration_guard():
     # The boundary sits at MAX_ENUM_D = 25: d = 25 is counted, d = 26 refused.
     assert sum(euler_mahonian(25).terms.values()) == math.factorial(25)
-    with pytest.raises(DTooLarge, match="^d=26 exceeds the enumeration guard 25$"):
+    with pytest.raises(TooLarge, match="^d=26 exceeds the enumeration guard 25$"):
         euler_mahonian(26)
     with pytest.raises(ValueError):
         euler_mahonian(0)
@@ -80,7 +81,7 @@ def test_the_guard_holds_after_a_lifted_call_enumerated_past_it():
     # The memo is keyed by d alone; the guard is checked on every call.
     with budget.lifted():
         assert sum(euler_mahonian(26).terms.values()) == math.factorial(26)
-    with pytest.raises(DTooLarge):
+    with pytest.raises(TooLarge):
         euler_mahonian(26)
 
 

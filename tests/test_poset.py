@@ -14,7 +14,6 @@ from diamondgf.poset import (
     NotNaturallyLabelled,
     ParseError,
     Poset,
-    PosetTooLarge,
     build_diamond_poset,
     jordan_holder,
     parse_poset_file,
@@ -102,6 +101,49 @@ def test_transitive_reduction():
     p = Poset(3, [(1, 2), (2, 3), (1, 3)])
     assert p.covers == frozenset({(1, 2), (2, 3)})
     assert _down_masks(p)[3] == 0b110  # bits 1 and 2
+
+
+def _reference_reduction(size, covers):
+    """The transitive reduction in three passes: the given lower covers of
+    each element, the strict down-sets, then each given cover j -> k kept
+    unless j lies below another given lower cover of k."""
+    raw_lowers = {k: {j for j, top in covers if top == k} for k in range(1, size + 1)}
+    down = [0] * (size + 1)
+    for k in range(1, size + 1):
+        for j in raw_lowers[k]:
+            down[k] |= down[j] | 1 << j
+    reduced = frozenset(
+        (j, k) for k in range(1, size + 1) for j in raw_lowers[k]
+        if not any(down[z] >> j & 1 for z in raw_lowers[k] if z != j)
+    )
+    return reduced, down
+
+
+@st.composite
+def cover_lists(draw, max_size=20):
+    """A size and a cover list with duplicates and transitively implied
+    pairs, shuffled."""
+    size = draw(st.integers(1, max_size))
+    pairs = [(j, k) for k in range(2, size + 1) for j in range(1, k)]
+    if not pairs:
+        return size, []
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=3 * size))
+    down = _reference_reduction(size, covers)[1]
+    implied = [(j, k) for j, k in pairs if down[k] >> j & 1]
+    if implied:
+        covers += draw(st.lists(st.sampled_from(implied), max_size=size))
+    return size, draw(st.permutations(covers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_lists())
+def test_one_pass_reduction_matches_the_three_pass_reference(case):
+    size, covers = case
+    reduced = _reference_reduction(size, covers)[0]
+    p = Poset(size, covers)
+    assert p.covers == reduced
+    for k in range(1, size + 1):
+        assert p.lower_covers(k) == tuple(sorted(j for j, top in reduced if top == k))
 
 
 def test_linear_sum_examples():
@@ -195,7 +237,7 @@ def test_jordan_holder_lex_order_and_counts():
 
 def test_jordan_holder_guard():
     big = Poset(13, [(j, j + 1) for j in range(1, 13)])
-    with pytest.raises(PosetTooLarge):
+    with pytest.raises(budget.TooLarge):
         jordan_holder(big)
     with budget.lifted():
         assert len(jordan_holder(big)) == 1

@@ -17,8 +17,7 @@ from diamondgf.series import (
     coeffs_json,
     coeffs_text,
     geometric_series,
-    poly_json,
-    series_json,
+    terms_json,
 )
 
 X = Poly2.monomial(1, 0)
@@ -742,9 +741,9 @@ def test_graded_lex_print_order():
 
 def test_json_rendering():
     p = Poly2({(1, 1): 2, (0, 0): 1})
-    assert poly_json(p) == {"truncation": None, "terms": [[0, 0, "1"], [1, 1, "2"]]}
+    assert terms_json(p) == {"truncation": None, "terms": [[0, 0, "1"], [1, 1, "2"]]}
     s = TruncSeries2(2, {(0, 1): 12345678901234567890})
-    assert series_json(s) == {
+    assert terms_json(s) == {
         "truncation": 2,
         "terms": [[0, 1, "12345678901234567890"]],
     }
