@@ -20,35 +20,32 @@ d in a process and shares the result (``_descent_polynomial``); the
 recurrence itself stores nothing, so ``verify theorem1`` still compares a
 fresh run with the count of words.
 
-For series output every numerator factor is built with the truncation as
-its bound: ``Poly2.substitute`` writes no image term of total degree above
-T, the factors are multiplied with the same bound, and a factor that is the
-constant 1 is skipped. The closed forms stop walking blocks at the first
-one whose image of x passes T, where every factor left is 1 unless its
-base has more than 1 in y alone (``_multifold_factors``), so a diamond of
-many more blocks than T costs no more than one of T + 1. The product
-lists of ``schmidt_product`` and
-``djsw_product`` stop at the first factor that would be 1 + O(degree > T),
-a cut read from the factor's own terms (``_substituted``). The
-``*_rational`` builders substitute and multiply exactly, for desk-scale
-parameters. ``sigma_univariate`` never builds the bivariate triangle that
-``sigma_multifold_closed(...).specialize_univariate()`` expands. On that
-univariate path (``_univariate``, shared by the three products,
-``schmidt_closed`` and ``sigma_univariate``) every factor whose terms past
-its constant 1 all lie above T/2 is added into one row instead of being
-multiplied in or swept, since the product of any two such terms passes
-q^T; on even T a denominator factor 1 - q^(T/2) keeps its sweep, because
-its square q^T survives.
+For bivariate output every numerator factor is substituted with the
+truncation as its bound, and the factors are multiplied with the same
+bound. The closed forms stop walking blocks at the first one whose image
+of x passes T, where every factor left is 1 unless its base has more than
+1 in y alone (``_multifold_factors``), so a diamond of many more blocks
+than T costs no more than one of T + 1. The ``*_rational`` builders
+substitute and multiply exactly, for desk-scale parameters.
+
+The univariate path (``_univariate``, shared by the three products,
+``schmidt_closed`` and ``sigma_univariate``) never builds a bivariate
+triangle, and no numerator factor is substituted: each is a list of (power
+of q, coefficient) pairs read from its base's terms (``_image_terms``). The
+product lists stop at the first factor that would be 1 + O(q^(T+1)). Every
+factor whose terms past its constant 1 all lie above T/2 is added into one
+row instead of being multiplied in or swept, since the product of any two
+such terms passes q^T; on even T a denominator factor 1 - q^(T/2) keeps its
+sweep, because its square q^T survives.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
-from .permstat import djsw_recursion, eulerian
+from .permstat import check_recursion_guard, djsw_recursion, eulerian
 from .poset import DiamondSpec
 from .series import Monomial2, Poly2, RationalExpr, TruncSeries2, _check_truncation, _poly
 
@@ -65,58 +62,62 @@ def _product(factors: Iterable[Poly2], bound: Optional[int] = None) -> Poly2:
     return result
 
 
-def _substituted(
-    base: Poly2, images: Iterable[tuple[Monomial2, Monomial2]], bound: Optional[int] = None
-) -> Iterator[Poly2]:
-    """``base.substitute(x_image, y_image, bound)`` for each pair of images.
+def _image_terms(
+    base: Poly2, pairs: Iterable[tuple[int, int]], bound: Optional[int] = None
+) -> Iterator[list[tuple[int, int]]]:
+    """base(q^xs, q^ys) for each pair (xs, ys): the (power of q, coefficient)
+    pairs of its terms x^i y^j -> q^(i xs + j ys), powers possibly repeated.
 
-    With a bound, the images' degrees must not fall along the pairs. The
-    factors then end before the first pair that sends every term of base
-    but a constant 1 past the bound: that factor, and every later one, is
-    1 + O(degree > bound). The cut reads base's own terms, not the shape
-    of E_d, so a base with a term in y alone keeps every factor, and a
-    cancellation inside one factor ends nothing early.
+    With a bound, the powers must not fall along the pairs. The lists then
+    end before the first pair that sends every term of base but a constant 1
+    past the bound: that factor, and every later one, is 1 + O(q^(bound+1)).
+    The cut reads base's own terms, so a base with a term in y alone keeps
+    every factor, and a cancellation inside one factor ends nothing early.
     """
+    terms = [(i, j, c) for (i, j), c in base.terms.items()]
+    cuts = bound is not None and base.coefficient(0, 0) == 1
     lowest: dict[int, int] = {}  # per power of x, the lowest power of y off the constant
-    for i, j in base.terms:
+    for i, j, _ in terms if cuts else ():
         if i or j:
             lowest[i] = min(j, lowest.get(i, j))
-    cuts = bound is not None and base.coefficient(0, 0) == 1
-    for x_image, y_image in images:
-        if cuts:
-            x_degree, y_degree = x_image.degree, y_image.degree
-            if all(i * x_degree + j * y_degree > bound for i, j in lowest.items()):
-                return
-        yield base.substitute(x_image, y_image, bound)
+    for xs, ys in pairs:
+        if cuts and all(i * xs + j * ys > bound for i, j in lowest.items()):
+            return
+        yield [(i * xs + j * ys, c) for i, j, c in terms]
 
 
 def _univariate(
-    numerator_factors: Iterable[Poly2], denominator_exponents: Iterable[int], truncation: int
+    numerator_factors: Iterable[list[tuple[int, int]]], denominator_exponents: Iterable[int],
+    truncation: int,
 ) -> list[int]:
     """Coefficients of q^0..q^T of prod(numerator factors) / prod_e (1 - q^e),
-    with every factor a polynomial in the second variable alone.
+    each numerator factor a list of (power of q, coefficient) pairs.
 
     Every factor whose terms past its constant 1 all lie above T/2 is added
-    into one row, not multiplied in: a numerator factor 1 + g whose lowest
-    term in g is above floor(T/2) contributes g, and each copy of
+    into one row, not multiplied in: a numerator factor 1 + g whose powers
+    in g are all above floor(T/2) contributes g, and each copy of
     1/(1 - q^e) with floor(T/2) < e <= T contributes q^e. Any product of two
     such terms passes q^T, so the product of those factors is 1 plus the
     sum of their terms through q^T. On even T, e = T/2 keeps its sweep,
     since its q^(2e) = q^T term survives. The row is the first numerator
-    factor, and it is allocated before any factor is consumed. Each
+    factor, and it is allocated before any factor is consumed. Every other
+    numerator factor becomes one row through q^T and is multiplied in. Each
     distinct exponent left becomes one ``Monomial2``, shared by all its
     copies, so ``RationalExpr`` converts and checks it once."""
     half = truncation // 2
-    far = [0] * (truncation + 1)  # allocated before any factor is built
-    far[0] = 1
+    far = [1] + [0] * truncation  # allocated before any factor is consumed
     numerators = []
-    for factor in numerator_factors:
-        rows = factor._rows  # a factor in q alone has at most row 0
-        if len(rows) == 1 and rows[0][0] == 1 and not any(rows[0][1:half + 1]):
-            stop = min(len(rows[0]), truncation + 1)
-            far[half + 1:stop] = map(add, far[half + 1:stop], rows[0][half + 1:stop])
+    for terms in numerator_factors:
+        if all(e > half for e, _ in terms if e) and sum(c for e, c in terms if not e) == 1:
+            for e, c in terms:
+                if half < e <= truncation:
+                    far[e] += c
         else:
-            numerators.append(factor)
+            row = [0] * (min(max((e for e, _ in terms), default=0), truncation) + 1)
+            for e, c in terms:
+                if e <= truncation:
+                    row[e] += c
+            numerators.append(_poly([row]))
     monomials: dict[int, Monomial2] = {}
     factors = []
     for e in denominator_exponents:
@@ -138,10 +139,15 @@ def _check_dm(d: int, length: int) -> None:
         raise ValueError("length must be at least 1")
 
 
-@functools.cache
 def _descent_polynomial(d: int) -> Poly2:
     """E_d for the closed forms: ``djsw_recursion(d)``, run at most once per
-    d in a process. Callers share the result and must not mutate it."""
+    d in a process, its guard checked on every call. Callers share the
+    result and must not mutate it."""
+    return _recurrence(check_recursion_guard(d))
+
+
+@functools.cache
+def _recurrence(d: int) -> Poly2:
     return djsw_recursion(d)
 
 
@@ -150,40 +156,42 @@ def _multifold_factors(
     base: Callable[[int], Poly2],
     image: Callable[[Monomial2], Monomial2] = lambda m: m,
     bound: Optional[int] = None,
-) -> tuple[list[Poly2], list[Monomial2]]:
+) -> tuple[list[tuple[Poly2, Monomial2, Monomial2]], list[Monomial2]]:
     """The numerator factors and denominator monomials of
     ``sigma_multifold_rational``'s form, with ``base(d_k)`` for E_{d_k} and
-    every monomial, a included, sent through ``image``. The blocks are
-    walked top block first, keeping the running fold count w_k, so degrees
-    rise along both lists for every map used here. Each numerator factor is
-    substituted with ``bound``.
+    every monomial, a included, sent through ``image``. Each numerator
+    factor is a triple (base, x_image, y_image), the base at those images.
+    The blocks are walked top block first, keeping the running fold count
+    w_k, so degrees rise along both lists for every map used here.
 
     With a bound, the walk stops at the first block whose image of x has
     degree above it. There and below, every term of a base in x and every
     denominator monomial lands past the bound, so what is left of a factor
-    is its base's part in y alone. Like ``_substituted``, this reads each
+    is its base's part in y alone. Like ``_image_terms``, this reads each
     base's own terms: a base whose part in y alone is not exactly 1 keeps
     its factor, once per block that uses it."""
     y_image = image(Monomial2(1, 0))
-    numerators: list[Poly2] = []
+    numerators = []
     denominator: list[Monomial2] = []
     above = 0
     for n, d_k in enumerate(reversed(spec.folds), 1):  # n = M - k + 1
         x_image = image(Monomial2(above, n))
         if bound is not None and x_image.degree > bound:
             for d, count in Counter(spec.folds[: spec.length - n + 1]).items():
-                if not _one_in_y(base(d)):
-                    numerators += [base(d).substitute(x_image, y_image, bound)] * count
+                if [(m, c) for m, c in base(d).terms.items() if not m.exp_a] != [((0, 0), 1)]:
+                    numerators += [(base(d), x_image, y_image)] * count
             break
-        numerators.append(base(d_k).substitute(x_image, y_image, bound))
+        numerators.append((base(d_k), x_image, y_image))
         denominator.extend(image(Monomial2(above + d_k - j, n)) for j in range(d_k + 1))
         above += d_k
     return numerators, [image(Monomial2(sum(spec.folds), spec.length + 1)), *denominator]
 
 
-def _one_in_y(base: Poly2) -> bool:
-    """Whether the terms of base free of x are exactly the constant 1."""
-    return [(m, c) for m, c in base.terms.items() if not m.exp_a] == [(Monomial2(0, 0), 1)]
+def _univariate_closed(spec: DiamondSpec, base: Callable, image: Callable, truncation: int) -> list[int]:
+    """``_univariate`` of ``_multifold_factors`` under an image in q alone."""
+    numerators, denominator = _multifold_factors(spec, base, image, truncation)
+    factors = (f for b, x, y in numerators for f in _image_terms(b, [(x.exp_b, y.exp_b)]))
+    return _univariate(factors, (m.exp_b for m in denominator), truncation)
 
 
 def sigma_rational(d: int, length: int) -> RationalExpr:
@@ -231,7 +239,7 @@ def sigma_multifold_rational(spec: DiamondSpec) -> RationalExpr:
     with w_k the number of folds strictly above block k.
     """
     numerators, denominator = _multifold_factors(spec, _descent_polynomial)
-    return RationalExpr(_product(numerators), tuple(denominator))
+    return RationalExpr(_product(b.substitute(x, y) for b, x, y in numerators), tuple(denominator))
 
 
 def sigma_multifold_closed(spec: DiamondSpec, truncation: int) -> TruncSeries2:
@@ -241,7 +249,8 @@ def sigma_multifold_closed(spec: DiamondSpec, truncation: int) -> TruncSeries2:
     fold sequence."""
     truncation = _check_truncation(truncation)
     numerators, denominator = _multifold_factors(spec, _descent_polynomial, bound=truncation)
-    return RationalExpr(_product(numerators, truncation), tuple(denominator)).expand(truncation)
+    numerator = _product((b.substitute(x, y, truncation) for b, x, y in numerators), truncation)
+    return RationalExpr(numerator, tuple(denominator)).expand(truncation)
 
 
 def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
@@ -257,10 +266,7 @@ def sigma_univariate(spec: DiamondSpec, truncation: int) -> list[int]:
     of univariate series.
     """
     truncation = _check_truncation(truncation)
-    numerators, denominator = _multifold_factors(
-        spec, _descent_polynomial, lambda m: Monomial2(0, m.degree), truncation
-    )
-    return _univariate(numerators, (m.exp_b for m in denominator), truncation)
+    return _univariate_closed(spec, _descent_polynomial, lambda m: Monomial2(0, m.degree), truncation)
 
 
 def schmidt_closed(d: int, length: int, truncation: int) -> list[int]:
@@ -273,10 +279,9 @@ def schmidt_closed(d: int, length: int, truncation: int) -> list[int]:
     truncation = _check_truncation(truncation)
     _check_dm(d, length)
     e_d = eulerian(d)
-    numerators, denominator = _multifold_factors(
+    return _univariate_closed(
         DiamondSpec.uniform(d, length), lambda _: e_d, lambda m: Monomial2(0, m.exp_b), truncation
     )
-    return _univariate(numerators, (m.exp_b for m in denominator), truncation)
 
 
 def schmidt_product(d: int, truncation: int) -> list[int]:
@@ -285,13 +290,9 @@ def schmidt_product(d: int, truncation: int) -> list[int]:
     truncation = _check_truncation(truncation)
     if d < 1:
         raise ValueError("d must be at least 1")
-    constant = Monomial2(0, 0)
-    images = ((Monomial2(0, n), constant) for n in range(1, truncation + 1))
-    return _univariate(
-        _substituted(eulerian(d), images, truncation),
-        (n for n in range(1, truncation + 1) for _ in range(d + 1)),
-        truncation,
-    )
+    numerators = _image_terms(eulerian(d), ((n, 0) for n in range(1, truncation + 1)), truncation)
+    denominator = (n for n in range(1, truncation + 1) for _ in range(d + 1))
+    return _univariate(numerators, denominator, truncation)
 
 
 def apr_product(truncation: int) -> list[int]:
@@ -299,14 +300,8 @@ def apr_product(truncation: int) -> list[int]:
     truncated by keeping the denominator factors n = 1..T and the numerator
     factors with 3n - 1 <= T."""
     truncation = _check_truncation(truncation)
-    return _univariate(
-        (
-            Poly2({Monomial2(0, 0): 1, Monomial2(0, 3 * n - 1): 1})
-            for n in range(1, (truncation + 1) // 3 + 1)
-        ),
-        range(1, truncation + 1),
-        truncation,
-    )
+    numerators = ([(0, 1), (3 * n - 1, 1)] for n in range(1, (truncation + 1) // 3 + 1))
+    return _univariate(numerators, range(1, truncation + 1), truncation)
 
 
 def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> list[int]:
@@ -323,10 +318,5 @@ def djsw_product(d: int, truncation: int, *, base: Optional[Poly2] = None) -> li
     if d < 1:
         raise ValueError("d must be at least 1")
     base = _descent_polynomial(d) if base is None else base
-    q = Monomial2(0, 1)
-    images = ((Monomial2(0, (n - 1) * (d + 1) + 1), q) for n in range(1, truncation + 1))
-    return _univariate(
-        _substituted(base, images, truncation),
-        range(1, truncation + 1),
-        truncation,
-    )
+    pairs = (((n - 1) * (d + 1) + 1, 1) for n in range(1, truncation + 1))
+    return _univariate(_image_terms(base, pairs, truncation), range(1, truncation + 1), truncation)

@@ -49,6 +49,15 @@ def check_enum_guard(d: int) -> int:
     return d
 
 
+def check_recursion_guard(d: int) -> int:
+    """``check_enum_guard`` for the recurrence's guard, MAX_RECURSION_D."""
+    d = index(d)
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    budget.check(d, MAX_RECURSION_D, f"d={d} exceeds the recurrence guard {MAX_RECURSION_D}")
+    return d
+
+
 def euler_mahonian(d: int) -> Poly2:
     """Sum over all permutations of {1..d} of x^descents * y^(major index).
 
@@ -111,10 +120,7 @@ def djsw_recursion(d: int) -> Poly2:
     call runs the whole recurrence and returns a new Poly2. Unless
     ``budget.lifted()``, d above MAX_RECURSION_D is refused.
     """
-    d = index(d)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    budget.check(d, MAX_RECURSION_D, f"d={d} exceeds the recurrence guard {MAX_RECURSION_D}")
+    d = check_recursion_guard(d)
     one = Poly2.one()
     y = Poly2.monomial(0, 1)
     one_minus_y = one - y

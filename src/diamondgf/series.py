@@ -504,8 +504,8 @@ def _sweep_row(row: list[int], step: int, power: int = 1) -> None:
     if step * step <= len(row):
         # Each residue class mod step becomes its power-fold running sum.
         for start in range(step):
-            sums = row[start::step]
-            for _ in range(power):
+            sums = accumulate(row[start::step])
+            for _ in range(power - 1):
                 sums = accumulate(sums)
             row[start::step] = sums
     elif power > 1 and (len(row) - 1) // step <= power:

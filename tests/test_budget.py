@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from diamondgf import budget, cli, permstat
-from diamondgf.diamonds import schmidt_closed, schmidt_product
+from diamondgf.diamonds import djsw_product, schmidt_closed, schmidt_product, sigma_closed
 from diamondgf.budget import TooLarge
 from diamondgf.permstat import djsw_recursion, euler_mahonian, eulerian
 from diamondgf.poset import Poset, jordan_holder, stanley_sigma
@@ -15,6 +15,7 @@ from diamondgf.verify import verify_stanley, verify_theorem1
 CHAIN13 = Poset(13, [(j, j + 1) for j in range(1, 13)])
 D26 = (TooLarge, "d=26 exceeds the enumeration guard 25")
 C13 = (TooLarge, "poset has 13 elements, guard is 12")
+D61 = (TooLarge, "d=61 exceeds the recurrence guard 60")
 
 GUARDED = {
     "euler_mahonian": (lambda: euler_mahonian(26), D26),
@@ -28,7 +29,11 @@ GUARDED = {
         (TooLarge, "max_size=13 exceeds the linear-extension guard 12"),
     ),
     "verify_theorem1": (lambda: verify_theorem1(26), D26),
-    "djsw_recursion": (lambda: djsw_recursion(61), (TooLarge, "d=61 exceeds the recurrence guard 60")),
+    "djsw_recursion": (lambda: djsw_recursion(61), D61),
+    # The closed forms store each E_d once per process: a lifted call fills
+    # the store, and the next unlifted call must still be refused.
+    "sigma_closed": (lambda: sigma_closed(61, 1, 2), D61),
+    "djsw_product": (lambda: djsw_product(61, 2), D61),
 }
 
 

@@ -540,7 +540,7 @@ def test_closed_forms_store_e_d_and_theorem1_recomputes_it(capsys, monkeypatch):
 
     monkeypatch.setattr(permstat, "djsw_recursion", counted)
     monkeypatch.setattr(diamonds, "djsw_recursion", counted)
-    diamonds._descent_polynomial.cache_clear()
+    diamonds._recurrence.cache_clear()
     first = diamonds.sigma_closed(3, 2, 8)
     assert diamonds.sigma_closed(3, 2, 8) == first
     diamonds.sigma_multifold_closed(poset.DiamondSpec((3, 3)), 8)

@@ -274,8 +274,8 @@ def test_djsw_product_keeps_the_factor_whose_lowest_term_is_q_to_the_t(d, last):
     truncation = (last - 1) * (d + 1) + 2
     base = djsw_recursion(d)
     assert djsw_product(d, truncation) == djsw_reference(d, truncation, base)
-    images = ((Monomial2(0, (n - 1) * (d + 1) + 1), Monomial2(0, 1)) for n in range(1, truncation + 1))
-    assert len(list(diamonds._substituted(base, images, truncation))) == last
+    pairs = (((n - 1) * (d + 1) + 1, 1) for n in range(1, truncation + 1))
+    assert len(list(diamonds._image_terms(base, pairs, truncation))) == last
     if d <= 3:
         assert djsw_product(d, truncation) == enumerate_infinite_univariate(d, truncation)
 
@@ -295,8 +295,8 @@ def test_djsw_product_cut_reads_the_base_terms(base):
     truncation = 12
     assert djsw_product(2, truncation, base=base) == djsw_reference(2, truncation, base)
     assert djsw_product(2, truncation, base=base) != djsw_product(2, truncation)
-    images = [(Monomial2(0, 3 * n - 2), Monomial2(0, 1)) for n in range(1, truncation + 1)]
-    assert len(list(diamonds._substituted(base, images, truncation))) == truncation
+    pairs = [(3 * n - 2, 1) for n in range(1, truncation + 1)]
+    assert len(list(diamonds._image_terms(base, pairs, truncation))) == truncation
 
 
 def test_sigma_closed_with_more_blocks_than_the_truncation_reaches():
@@ -326,6 +326,18 @@ def test_schmidt_closed_with_more_blocks_than_the_truncation_reaches():
     assert schmidt_closed(3, 6, 6) == schmidt_oracle(3, 6, 6)
 
 
+def _counted_substitutions(monkeypatch):
+    """The list that each later ``Poly2.substitute`` call appends its arguments to."""
+    calls, original = [], Poly2.substitute
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly2, "substitute", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "closed",
     [
@@ -338,14 +350,7 @@ def test_schmidt_closed_with_more_blocks_than_the_truncation_reaches():
 def test_blocks_past_the_truncation_are_not_substituted(monkeypatch, closed):
     # Block n's image of x has degree at least n, so at most blocks 1..T
     # are substituted, however many there are.
-    truncation, calls = 10, []
-    original = Poly2.substitute
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Poly2, "substitute", counted)
+    truncation, calls = 10, _counted_substitutions(monkeypatch)
     long = closed(2000, truncation)
     assert len(calls) <= truncation + 1
     assert long == closed(truncation + 1, truncation)
@@ -368,8 +373,10 @@ def test_multifold_factors_past_the_bound_read_the_base_terms(base):
     numerators, denominator = diamonds._multifold_factors(spec, base, bound=truncation)
     exact = sigma_multifold_rational(spec)
     exact_numerators, exact_denominator = diamonds._multifold_factors(spec, base)
-    expected = RationalExpr(diamonds._product(exact_numerators), tuple(exact_denominator))
-    bounded = RationalExpr(diamonds._product(numerators, truncation), tuple(denominator))
+    exact_product = diamonds._product(b.substitute(x, y) for b, x, y in exact_numerators)
+    bounded_product = diamonds._product((b.substitute(x, y) for b, x, y in numerators), truncation)
+    expected = RationalExpr(exact_product, tuple(exact_denominator))
+    bounded = RationalExpr(bounded_product, tuple(denominator))
     assert bounded.expand(truncation) == expected.expand(truncation)
     assert bounded.expand(truncation) != exact.expand(truncation)
     plain, _ = diamonds._multifold_factors(spec, diamonds._descent_polynomial, bound=truncation)
@@ -453,19 +460,21 @@ def test_a_bool_truncation_is_read_as_the_int_it_stands_for(entry):
 
 @st.composite
 def univariate_inputs(draw):
-    """T in 0..40, one-row numerator factors (constant 1 or not, terms
-    anywhere up to past T, often starting at or just above T/2) and a
-    multiset of denominator exponents (repeats, T/2, and past T)."""
+    """T in 0..40, numerator factors as lists of (power of q, coefficient)
+    pairs (a constant 1 or not, powers anywhere up to past T, often at
+    floor(T/2) or just above, and powers repeated inside a factor, the
+    constant's included) and a multiset of denominator exponents (repeats,
+    T/2, and past T)."""
     truncation = draw(st.integers(0, 40))
     half = truncation // 2
     near_half = st.one_of(st.just(max(half, 1)), st.integers(max(half, 1), half + 2))
     exponents = st.one_of(st.integers(1, truncation + 3), near_half)
     factors = []
     for _ in range(draw(st.integers(0, 5))):
-        terms = {(0, 0): draw(st.sampled_from([1, 1, 1, 0, 2, -1]))}
-        for e in draw(st.lists(exponents, max_size=4)):
-            terms[(0, e)] = terms.get((0, e), 0) + draw(st.integers(-3, 3))
-        factors.append(Poly2(terms))
+        powers = [0, *draw(st.lists(st.one_of(exponents, st.just(half)), max_size=4))]
+        powers += draw(st.lists(st.sampled_from(powers), max_size=2))  # repeats
+        constant = draw(st.sampled_from([1, 1, 1, 0, 2, -1]))
+        factors.append([(0, constant), *((e, draw(st.integers(-3, 3))) for e in powers[1:])])
     denominator = draw(st.lists(st.one_of(exponents, st.just(half + 1), st.just(max(half, 1))),
                                 max_size=12))
     return factors, denominator, truncation
@@ -474,11 +483,39 @@ def univariate_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(univariate_inputs())
 def test_univariate_equals_the_unsplit_expansion(inputs):
-    # The reference multiplies every numerator factor in and sweeps every
-    # denominator factor; _univariate adds those whose terms all lie past
-    # T/2 into one row instead.
+    # The reference multiplies every numerator factor in, its repeated
+    # powers summed, and sweeps every denominator factor; _univariate adds
+    # those whose terms all lie past T/2 into one row instead.
     factors, exponents, truncation = inputs
+    polys = [Poly2(((0, e), c) for e, c in factor) for factor in factors]
     monomials = tuple(Monomial2(0, e) for e in exponents)
-    unsplit = RationalExpr(diamonds._product(factors, truncation), monomials)
+    unsplit = RationalExpr(diamonds._product(polys, truncation), monomials)
     expected = unsplit.expand(truncation).specialize_univariate()
     assert diamonds._univariate(iter(factors), iter(exponents), truncation) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), max_size=6))
+def test_image_terms_are_the_substituted_base(d, pairs):
+    # Without a bound, one term list per pair: the base at x = q^xs, y = q^ys.
+    base = djsw_recursion(d)
+    images = list(diamonds._image_terms(base, pairs))
+    assert len(images) == len(pairs)
+    for (xs, ys), terms in zip(pairs, images):
+        assert Poly2(((0, e), c) for e, c in terms) == base.substitute((0, xs), (0, ys))
+
+
+@pytest.mark.parametrize(
+    "product", [lambda t: schmidt_product(3, t), lambda t: djsw_product(3, t)], ids=["schmidt", "djsw"]
+)
+def test_product_factors_are_not_substituted(monkeypatch, product):
+    # Each numerator factor is read from the base's terms, so the number of
+    # substitutions does not grow with T.
+    product(4)  # stores E_3
+    calls = _counted_substitutions(monkeypatch)
+    counts = []
+    for truncation in (10, 100):
+        calls.clear()
+        product(truncation)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
