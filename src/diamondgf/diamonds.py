@@ -101,9 +101,8 @@ def _univariate(
     sum of their terms through q^T. On even T, e = T/2 keeps its sweep,
     since its q^(2e) = q^T term survives. The row is the first numerator
     factor, and it is allocated before any factor is consumed. Every other
-    numerator factor becomes one row through q^T and is multiplied in. Each
-    distinct exponent left becomes one ``Monomial2``, shared by all its
-    copies, so ``RationalExpr`` converts and checks it once."""
+    numerator factor becomes one row through q^T and is multiplied in, and
+    every exponent left becomes one denominator factor (1 - q^e)."""
     half = truncation // 2
     far = [1] + [0] * truncation  # allocated before any factor is consumed
     numerators = []
@@ -118,16 +117,12 @@ def _univariate(
                 if e <= truncation:
                     row[e] += c
             numerators.append(_poly([row]))
-    monomials: dict[int, Monomial2] = {}
     factors = []
     for e in denominator_exponents:
         if half < e <= truncation:
             far[e] += 1
             continue
-        m = monomials.get(e)
-        if m is None:
-            m = monomials[e] = Monomial2(0, e)
-        factors.append(m)
+        factors.append((0, e))
     numerator = _product([_poly([far]), *numerators], truncation)
     return RationalExpr(numerator, tuple(factors)).expand(truncation).specialize_univariate()
 

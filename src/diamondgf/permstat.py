@@ -38,24 +38,25 @@ MAX_ENUM_D = 25
 MAX_RECURSION_D = 60
 
 
-def check_enum_guard(d: int) -> int:
+def _check_guard(d: int, limit: int, route: str) -> int:
     """d as an exact int, refused when below 1 or, unless
-    ``budget.lifted()``, above MAX_ENUM_D. It is read with
+    ``budget.lifted()``, above the route's limit. It is read with
     ``operator.index``, so a float raises TypeError."""
     d = index(d)
     if d < 1:
         raise ValueError("d must be at least 1")
-    budget.check(d, MAX_ENUM_D, f"d={d} exceeds the enumeration guard {MAX_ENUM_D}")
+    budget.check(d, limit, f"d={d} exceeds the {route} guard {limit}")
     return d
+
+
+def check_enum_guard(d: int) -> int:
+    """``_check_guard`` for the enumeration's guard, MAX_ENUM_D."""
+    return _check_guard(d, MAX_ENUM_D, "enumeration")
 
 
 def check_recursion_guard(d: int) -> int:
-    """``check_enum_guard`` for the recurrence's guard, MAX_RECURSION_D."""
-    d = index(d)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    budget.check(d, MAX_RECURSION_D, f"d={d} exceeds the recurrence guard {MAX_RECURSION_D}")
-    return d
+    """``_check_guard`` for the recurrence's guard, MAX_RECURSION_D."""
+    return _check_guard(d, MAX_RECURSION_D, "recurrence")
 
 
 def euler_mahonian(d: int) -> Poly2:

@@ -78,6 +78,7 @@ class Poset:
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         if size < 1:
             raise ValueError("a poset needs at least one element")
+        down = [0] * (size + 1)  # one step before any loop: a huge size fails at once
         raw: list[set[int]] = [set() for _ in range(size + 1)]  # the given lower covers
         for pair in covers:
             j, k = index(pair[0]), index(pair[1])
@@ -87,7 +88,6 @@ class Poset:
         # Covers point upward, so one ascending pass builds the strict
         # down-sets. No element lies strictly below itself, so the down-sets
         # of k's given lower covers hold exactly the implied ones.
-        down = [0] * (size + 1)
         self._lowers = {}
         for k in range(1, size + 1):
             below = 0
@@ -364,5 +364,7 @@ def parse_poset_file(text: str) -> tuple[Poset, tuple[str, ...]]:
             raise ParseError(f"unknown directive '{keyword}'", lineno)
     if size is None:
         raise ParseError("missing 'elements' line")
-    tags = tuple(FOLD_TAG if j in fold_elements else LINK_TAG for j in range(1, size + 1))
-    return Poset(size, covers), tags
+    tags = [LINK_TAG] * size  # one allocation, so a huge count fails at once
+    for v in fold_elements:
+        tags[v - 1] = FOLD_TAG
+    return Poset(size, covers), tuple(tags)

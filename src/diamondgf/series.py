@@ -176,11 +176,10 @@ def _row_product(left: Rows, right: Rows, bound: int) -> Rows:
         if not row:
             continue
         row = row[:bound - i + 1]
-        # A long row's nonzero entries are found in C, so it costs its terms.
-        terms = zip(compress(count(), row), filter(None, row)) if len(row) > 16 else enumerate(row)
-        for j, coeff in terms:
-            if not coeff or not i + j:
-                continue  # a zero, or the constant term already copied
+        # The row's nonzero entries are found in C, so it costs its terms.
+        for j, coeff in zip(compress(count(), row), filter(None, row)):
+            if not i + j:
+                continue  # the constant term, already copied
             stop = bound - i + 1  # row i + k holds columns below stop - k
             t = i
             for source in right:
@@ -391,8 +390,7 @@ class Poly2(_TermMap):
         With a bound, as in ``mul_bounded``, no image of total degree > bound
         is written, so the result is the exact one without those terms; each
         row is cut before its first such term. x -> x*b^s, y -> y shifts row
-        i by i*s; another y_image without an a adds each row as one strided
-        slice, and one with an a writes each term straight into its output
+        i by i*s; any other pair writes each term straight into its output
         row. A bound that is not an int raises TypeError."""
         xa, xb = _as_monomial(x_image)
         ya, yb = _as_monomial(y_image)
@@ -411,32 +409,21 @@ class Poly2(_TermMap):
             ]
         if xa == yb == 1 and not ya:
             return _poly([[0] * (i * xb) + row if row else [] for i, row in enumerate(rows)])
-        if ya:
-            # Row i's terms land in rows i*xa, i*xa + ya, ... one apiece.
-            height = max((i * xa + (len(row) - 1) * ya for i, row in enumerate(rows) if row), default=-1) + 1
-            out = [[] for _ in range(height)]
-            for i, row in enumerate(rows):
-                r, col = i * xa, i * xb
-                for c in row:
-                    if c:
-                        target = out[r]
-                        if len(target) > col:
-                            target[col] += c
-                        else:
-                            target += [0] * (col - len(target))
-                            target.append(c)
-                    r += ya
-                    col += yb
-            return _poly(out)
-        out: Rows = [[] for _ in range(xa * len(rows) - xa + 1)] if rows else []
+        # Row i's terms land in rows i*xa, i*xa + ya, ... one apiece.
+        height = max((i * xa + (len(row) - 1) * ya for i, row in enumerate(rows) if row), default=-1) + 1
+        out = [[] for _ in range(height)]
         for i, row in enumerate(rows):
-            if row:
-                target, start = out[i * xa], i * xb
-                values, step = (row, yb) if yb else ([sum(row)], 1)
-                stop = start + step * len(values) - step + 1
-                if len(target) < stop:
-                    target += [0] * (stop - len(target))
-                target[start:stop:step] = map(add, target[start:stop:step], values)
+            r, col = i * xa, i * xb
+            for c in row:
+                if c:
+                    target = out[r]
+                    if len(target) > col:
+                        target[col] += c
+                    else:
+                        target += [0] * (col - len(target))
+                        target.append(c)
+                r += ya
+                col += yb
         return _poly(out)
 
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
@@ -687,7 +674,9 @@ def geometric_series(mono: MonomialLike, truncation: int, power: int = 1) -> Tru
 
 @dataclass(frozen=True)
 class RationalExpr:
-    """numerator / prod (1 - m) for monomials m of total degree >= 1."""
+    """numerator / prod (1 - m) for monomials m of total degree >= 1. Each
+    factor is converted and checked as given, one at a time, so a float
+    exponent raises TypeError even beside an equal int pair."""
 
     numerator: Poly2
     denominator_factors: tuple[Monomial2, ...] = ()
@@ -695,19 +684,11 @@ class RationalExpr:
     def __post_init__(self) -> None:
         if not isinstance(self.numerator, Poly2):
             raise TypeError("numerator must be a Poly2")
-        # Each distinct object is converted and checked once, and its copies
-        # reuse the result. Copies are found by identity, never by value:
-        # (1.0, 1) equals (1, 1) but must still raise TypeError. The tuple
-        # keeps every object alive, so no id is reused while the map is live.
-        given = tuple(self.denominator_factors)
-        converted: dict[int, Monomial2] = {}
         factors = []
-        for mono in given:
-            m = converted.get(id(mono))
-            if m is None:
-                m = converted[id(mono)] = _as_monomial(mono)
-                if m.degree == 0:
-                    raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
+        for mono in self.denominator_factors:
+            m = _as_monomial(mono)
+            if m.degree == 0:
+                raise NonInvertibleFactor(f"factor (1 - {m}) has no series inverse")
             factors.append(m)
         object.__setattr__(self, "denominator_factors", tuple(factors))
 

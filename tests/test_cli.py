@@ -726,21 +726,39 @@ def test_a_huge_d_is_refused_by_the_recurrence_guard(capsys, argv):
     assert err == f"error: d={HUGE} exceeds the recurrence guard 60; use --force to override\n"
 
 
-def test_a_bivariate_triangle_past_the_cell_budget_is_refused_before_it_is_filled():
-    # The child caps its own address space at 1 GiB, so a regression fails
-    # the time bound instead of taking the machine's memory. T = 100000
-    # needs about 5e9 cells; the sweep refuses them before it allocates a row.
+def run_capped(*argv) -> tuple[subprocess.CompletedProcess, float]:
+    """The command in a child that caps its own address space at 1 GiB, so
+    a regression fails a time bound instead of taking the machine's memory;
+    with the seconds it took."""
     src = str(Path(diamondgf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
               "from diamondgf.cli import main; sys.exit(main(sys.argv[1:]))")
-    argv = ["sigma", "--d", "1", "--M", "1", "--trunc", "100000"]
     start = time.monotonic()
     done = subprocess.run([sys.executable, "-c", capped, *argv], capture_output=True,
                           text=True, env=env, timeout=60)
-    assert time.monotonic() - start < 2.0
+    return done, time.monotonic() - start
+
+
+def test_a_bivariate_triangle_past_the_cell_budget_is_refused_before_it_is_filled():
+    # T = 100000 needs about 5e9 cells; the sweep refuses them before it
+    # allocates a row.
+    done, seconds = run_capped("sigma", "--d", "1", "--M", "1", "--trunc", "100000")
+    assert seconds < 2.0
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: out of memory; use a smaller --trunc\n"
+
+
+def test_a_poset_file_with_a_huge_element_count_is_refused_at_once_under_force(tmp_path):
+    # --force lifts the size guard, so the count reaches the parser and the
+    # Poset; each allocates per element in one step before any per-element
+    # loop, so a count past sys.maxsize fails at once instead of running on.
+    path = tmp_path / "huge.poset"
+    path.write_text("elements 99999999999999999999\n")
+    done, seconds = run_capped("ppartition", str(path), "--trunc", "3", "--force")
+    assert seconds < 2.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_djsw_product_oracle_at_trunc_200_passes_in_seconds(capsys):

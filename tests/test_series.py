@@ -460,8 +460,9 @@ def test_row_kernels_match_independent_references(data, operands):
         assert dividend.divide_exact(divisor).terms == expected.terms
 
 
-# Image pairs for each substitute path: the recurrence's row shift
-# x -> x*b^s, y -> y; a y image without an a; and any pair at all.
+# Image pairs for both substitute writers: the recurrence's row shift
+# x -> x*b^s, y -> y; and the per-term writer, drawn both with a y image
+# without an a and with any pair at all.
 image_pairs = st.one_of(
     st.tuples(st.tuples(st.just(1), st.integers(0, 3)), st.just((0, 1))),
     st.tuples(exponents, st.tuples(st.just(0), st.integers(0, 6))),
@@ -847,8 +848,8 @@ def test_first_difference_of_series_checks_truncations_first():
 
 
 def test_a_repeated_factor_object_is_checked_once_and_a_float_copy_still_fails():
-    # Copies are found by identity, never by value: (1.0, 1) equals (1, 1)
-    # and hashes alike, but must still be refused.
+    # Each factor is checked as given: (1.0, 1) equals (1, 1) and hashes
+    # alike, but must still be refused.
     with pytest.raises(TypeError):
         RationalExpr(ONE, ((1, 1), (1.0, 1)))
     shared = Monomial2(0, 3)
@@ -858,8 +859,7 @@ def test_a_repeated_factor_object_is_checked_once_and_a_float_copy_still_fails()
     stored = RationalExpr(ONE, (same, Monomial2(0, 2), same)).denominator_factors
     assert stored == (Monomial2(0, 2),) * 3
     assert all(type(m) is Monomial2 for m in stored)
-    # A generator's items are kept alive while they are checked, so no id
-    # of a freed pair can alias a later one.
+    # A generator is read once, and each of its items is kept in order.
     assert RationalExpr(ONE, ((0, n % 3 + 1) for n in range(6))).denominator_factors == tuple(
         Monomial2(0, n % 3 + 1) for n in range(6)
     )
