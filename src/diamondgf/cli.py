@@ -115,8 +115,13 @@ def _cmd_ppartition(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    posets.check_size(posets._declared_size(text))  # before the parser builds the elements
-    p, tags = posets.parse_poset_file(text)
+    size = posets._declared_size(text)
+    posets.check_size(size)  # before the parser builds the elements
+    try:
+        p, tags = posets.parse_poset_file(text)
+    except (MemoryError, OverflowError):  # no --trunc or other option would help here
+        print(f"error: a poset of {size} elements does not fit in memory", file=sys.stderr)
+        return EXIT_USAGE
     stanley = posets.stanley_sigma(p, tags, args.trunc)
     if not args.oracle:
         _print(stanley, args.json)

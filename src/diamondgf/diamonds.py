@@ -102,7 +102,10 @@ def _univariate(
     since its q^(2e) = q^T term survives. The row is the first numerator
     factor, and it is allocated before any factor is consumed. Every other
     numerator factor becomes one row through q^T and is multiplied in, and
-    every exponent left becomes one denominator factor (1 - q^e)."""
+    every exponent left becomes one denominator factor (1 - q^e). Those go
+    to ``RationalExpr`` largest exponent first, so most sweeps run while
+    the coefficients are still small ints; the order changes no
+    coefficient."""
     half = truncation // 2
     far = [1] + [0] * truncation  # allocated before any factor is consumed
     numerators = []
@@ -117,14 +120,16 @@ def _univariate(
                 if e <= truncation:
                     row[e] += c
             numerators.append(_poly([row]))
-    factors = []
+    exponents = []
     for e in denominator_exponents:
         if half < e <= truncation:
             far[e] += 1
             continue
-        factors.append((0, e))
+        exponents.append(e)
+    exponents.sort(reverse=True)
     numerator = _product([_poly([far]), *numerators], truncation)
-    return RationalExpr(numerator, tuple(factors)).expand(truncation).specialize_univariate()
+    factors = tuple((0, e) for e in exponents)
+    return RationalExpr(numerator, factors).expand(truncation).specialize_univariate()
 
 
 def _check_dm(d: int, length: int) -> None:

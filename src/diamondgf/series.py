@@ -431,8 +431,10 @@ class Poly2(_TermMap):
         the recurrence's only divisor. q[i][j] = self[i][j] + q[i][j - k] is
         a running sum along each residue class mod k of each row, exact iff
         every class's sum ends at 0, that is iff the last k entries of each
-        swept row are 0. A remainder raises NonExactDivision, any other
-        divisor ValueError."""
+        swept row are 0. For k = 1, the recurrence's case, a row's quotient
+        is built by one ``accumulate`` pass, with no copy first; larger k
+        sweep a copy with ``_sweep_row``. A remainder in any row raises
+        NonExactDivision, any other divisor ValueError."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         rows = divisor._rows
@@ -442,8 +444,11 @@ class Poly2(_TermMap):
         step = len(rows[0]) - 1
         out: Rows = []
         for row in self._rows:
-            quotient = row[:]
-            _sweep_row(quotient, step)
+            if step == 1:
+                quotient = list(accumulate(row))
+            else:
+                quotient = row[:]
+                _sweep_row(quotient, step)
             cut = max(len(quotient) - step, 0)
             if any(quotient[cut:]):
                 raise NonExactDivision(f"no exact quotient by {divisor.text()}")

@@ -758,7 +758,19 @@ def test_a_poset_file_with_a_huge_element_count_is_refused_at_once_under_force(t
     done, seconds = run_capped("ppartition", str(path), "--trunc", "3", "--force")
     assert seconds < 2.0
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert done.stderr == "error: a poset of 99999999999999999999 elements does not fit in memory\n"
+
+
+def test_a_poset_past_memory_is_refused_by_its_element_count(tmp_path):
+    # The count fits a list size but not the memory, so the Poset's first
+    # allocation raises MemoryError; the fix is a smaller poset, not a
+    # smaller --trunc.
+    path = tmp_path / "big.poset"
+    path.write_text("elements 999999999999\n")
+    done, seconds = run_capped("ppartition", str(path), "--trunc", "3", "--force")
+    assert seconds < 2.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: a poset of 999999999999 elements does not fit in memory\n"
 
 
 def test_djsw_product_oracle_at_trunc_200_passes_in_seconds(capsys):

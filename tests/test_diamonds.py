@@ -481,17 +481,19 @@ def univariate_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(univariate_inputs())
-def test_univariate_equals_the_unsplit_expansion(inputs):
+@given(st.data(), univariate_inputs())
+def test_univariate_equals_the_unsplit_expansion(data, inputs):
     # The reference multiplies every numerator factor in, its repeated
-    # powers summed, and sweeps every denominator factor; _univariate adds
-    # those whose terms all lie past T/2 into one row instead.
+    # powers summed, and sweeps every denominator factor in the order
+    # drawn; _univariate adds those whose terms all lie past T/2 into one
+    # row instead, and gets the denominator in any order.
     factors, exponents, truncation = inputs
     polys = [Poly2(((0, e), c) for e, c in factor) for factor in factors]
     monomials = tuple(Monomial2(0, e) for e in exponents)
     unsplit = RationalExpr(diamonds._product(polys, truncation), monomials)
     expected = unsplit.expand(truncation).specialize_univariate()
-    assert diamonds._univariate(iter(factors), iter(exponents), truncation) == expected
+    shuffled = data.draw(st.permutations(exponents))
+    assert diamonds._univariate(iter(factors), iter(shuffled), truncation) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -136,6 +136,13 @@ def test_divide_exact_examples():
     assert numerator.divide_exact(ONE - Y) == ONE + X * Y
     with pytest.raises(NonExactDivision):
         (ONE + Y).divide_exact(ONE - Y)
+    # Rows 0 and 2 divide by 1 - b^k; row 1 alone leaves the remainder a.
+    for k in (1, 2):
+        divisor = ONE - Poly2.monomial(0, k)
+        dividend = divisor * (ONE + X * Y + X * X * Y * Y) + X
+        assert len(dividend._rows) == 3
+        with pytest.raises(NonExactDivision):
+            dividend.divide_exact(divisor)
 
 
 def test_divide_exact_zero_divisor():
