@@ -8,6 +8,11 @@ Cover input may contain duplicates and transitively implied pairs;
 construction reduces them. Listing linear extensions refuses more than
 MAX_JH_SIZE elements with ``budget.TooLarge``, which ``budget.lifted()``
 lifts, and more than MAX_JH_WORDS words, which nothing lifts.
+
+The P-partitions of a disjoint union are independent pairs, so its
+generating function is the product of its components' (Stanley 1972; EC1
+§3.15). Stanley's route therefore walks each connected component of the
+cover graph on its own, and both guards apply per component.
 """
 
 from __future__ import annotations
@@ -229,8 +234,36 @@ def jordan_holder(p: Poset) -> list[tuple[int, ...]]:
     return words
 
 
+def _components(p: Poset) -> list[list[int]]:
+    """The element sets of the connected components of p's cover graph,
+    each ascending, listed by least element (union-find over the covers)."""
+    root = list(range(p.size + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]  # path halving
+            v = root[v]
+        return v
+
+    for j, k in p.covers:
+        root[find(j)] = find(k)
+    parts: dict[int, list[int]] = {}
+    for k in range(1, p.size + 1):
+        parts.setdefault(find(k), []).append(k)
+    return list(parts.values())
+
+
 def stanley_sigma(p: Poset, assignment: Sequence[str], truncation: int) -> TruncSeries2:
     """The P-partition generating function via linear extensions.
+
+    A poset whose cover graph has several connected components is the
+    disjoint union of them, so its series is the product of theirs. Each
+    component is relabelled 1..k in label order, which keeps it naturally
+    labelled, keeps the tags of its original elements, and goes through this
+    function on its own; so the size guard and the word budget of
+    ``jordan_holder`` apply per component, and a c-element antichain costs c
+    one-letter words, not c! words. An ordinal sum is connected and is
+    walked whole.
 
     Each extension word w contributes
 
@@ -253,6 +286,17 @@ def stanley_sigma(p: Poset, assignment: Sequence[str], truncation: int) -> Trunc
     """
     truncation = _check_truncation(truncation)
     tags = validate_assignment(assignment, p.size)
+    parts = _components(p)
+    if len(parts) > 1:
+        product = None
+        for part in parts:
+            label = {v: i for i, v in enumerate(part, 1)}
+            covers = [(label[j], label[k]) for k in part for j in p.lower_covers(k)]
+            factor = stanley_sigma(
+                Poset(len(part), covers), [tags[v - 1] for v in part], truncation
+            )
+            product = factor if product is None else product * factor
+        return product
     c = p.size
     words = jordan_holder(p)
     is_fold = (0, *(int(tag == FOLD_TAG) for tag in tags))

@@ -195,8 +195,11 @@ def verify_schmidt(d: int, length: int, truncation: int) -> VerifyReport:
 def verify_stanley(count: int, max_size: int, truncation: int, seed: int) -> VerifyReport:
     """Stanley's formula against direct enumeration on a seeded corpus of
     random posets; stops at the first poset that disagrees. Stanley's route
-    walks every linear extension, so ``max_size`` may not pass
-    ``poset.MAX_JH_SIZE`` unless ``budget.lifted()``."""
+    walks every linear extension of each connected component and multiplies
+    the components' series, while enumeration counts the whole poset, so a
+    disconnected poset also checks that product rule. Its guards apply per
+    component, but a drawn poset may be connected, so ``max_size`` may not
+    pass ``poset.MAX_JH_SIZE`` unless ``budget.lifted()``."""
     if count < 1:
         raise ValueError("count must be at least 1")
     guard = posets.MAX_JH_SIZE

@@ -313,6 +313,22 @@ def test_ppartition_guard_and_force(capsys, tmp_path):
     assert out.strip() == "1 + b + 2*b^2"
 
 
+def test_ppartition_on_a_forced_antichain_reaches_the_oracle(capsys, tmp_path):
+    # Each element of an antichain is a component of one word, so past the
+    # size guard (lifted by --force) the word budget never refuses it.
+    path = tmp_path / "antichain.poset"
+    path.write_text("elements 13\nassign a 2 3 5 8 13\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ppartition", str(path), "--trunc", "6", "--force", "--oracle",
+                         "--json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["match"] is True
+    # 1/((1 - a)^5 (1 - b)^8): the linear terms count the elements by tag.
+    assert payload["stanley"][1:3] == [[0, 1, "8"], [1, 0, "5"]]
+
+
 def test_ppartition_refuses_an_oversized_poset_before_building_it(capsys, tmp_path):
     # The declared count meets the guard before the parser allocates
     # anything per element, so a million elements cost no memory or time.
@@ -350,15 +366,18 @@ def test_every_guard_refusal_names_force_once(capsys, tmp_path):
     assert run(capsys, "verify", "main", "--d", "2", "--M", "4", "--trunc", "4", "--force")[0] == 0
 
 
-@pytest.mark.parametrize("size, force", [(13, ["--force"]), (11, [])])
+@pytest.mark.parametrize("size, force", [(13, ["--force"]), (12, [])])
 def test_ppartition_refuses_too_many_linear_extensions_whatever_the_force(
     capsys, tmp_path, size, force
 ):
-    # An antichain of c elements has c! linear extensions; the walk counts
-    # each level before building it and stops at the budget, so neither the
-    # time nor the memory grows with c!.
-    path = tmp_path / "antichain.poset"
-    path.write_text(f"elements {size}\n")
+    # An 11-element antichain under size - 11 caps is connected and has
+    # (size - 11)! * 11! linear extensions; the walk counts each level before
+    # building it and stops at the budget, so neither the time nor the memory
+    # grows with the word count.
+    caps = range(12, size + 1)
+    lines = [f"elements {size}"] + [f"cover {j} {k}" for j in range(1, 12) for k in caps]
+    path = tmp_path / "capped-antichain.poset"
+    path.write_text("\n".join(lines) + "\n")
     argv = ["ppartition", str(path), "--trunc", "1", *force]
     start = time.perf_counter()
     refusal = run(capsys, *argv)
@@ -468,18 +487,20 @@ MUTATIONS = [
      _drop_last_factor, {"monomial": [2, 2], "lhs": "multifold", "rhs": "uniform-closed",
                          "lhs_coefficient": "4", "rhs_coefficient": "3"}),
     # Stanley's route: a lost linear extension, or a denominator factor with
-    # its a and b exponents swapped. Poset 0 of this corpus is an antichain.
+    # its a and b exponents swapped. Poset 0 of this corpus is a 2-element
+    # antichain, walked as two one-word components, so a lost word empties
+    # the product.
     (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], poset,
      "jordan_holder", _drop_last,
-     {"monomial": [0, 1], "poset_index": 0, "lhs": "stanley", "rhs": "enumeration",
-      "lhs_coefficient": "1", "rhs_coefficient": "2"}),
+     {"monomial": [0, 0], "poset_index": 0, "lhs": "stanley", "rhs": "enumeration",
+      "lhs_coefficient": "0", "rhs_coefficient": "1"}),
     (["main", "--d", "2", "--M", "1", "--trunc", "6"], poset, "jordan_holder", _drop_last,
      {"monomial": [1, 1], "lhs": "closed", "rhs": "stanley",
       "lhs_coefficient": "2", "rhs_coefficient": "1"}),
     (["stanley", "--count", "3", "--max-size", "4", "--trunc", "4", "--seed", "3"], poset,
      "geometric_series", _swap_exponents,
      {"monomial": [0, 1], "poset_index": 0, "lhs": "stanley", "rhs": "enumeration",
-      "lhs_coefficient": "1", "rhs_coefficient": "2"}),
+      "lhs_coefficient": "0", "rhs_coefficient": "2"}),
     (["main", "--d", "2", "--M", "1", "--trunc", "6"], poset, "geometric_series",
      _swap_exponents,
      {"monomial": [0, 1], "lhs": "closed", "rhs": "stanley",

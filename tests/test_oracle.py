@@ -134,6 +134,36 @@ def test_corpus_matches_stanley_on_a_sample():
         assert stanley_sigma(p, tags, 6) == enumerate_ppartitions(p, tags, 6)
 
 
+@st.composite
+def interleaved_unions(draw):
+    """A disjoint union of 1-4 random posets of 1-4 elements each, whose
+    labels interleave (say {1, 3, 5} and {2, 4}), with random tags."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 4))
+        pairs = [(j, k) for k in range(2, size + 1) for j in range(1, k)]
+        parts.append((size, draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []))
+    # owner[i] is the part that label i + 1 belongs to; each part takes its
+    # labels in order, so every part stays naturally labelled.
+    owner = draw(st.permutations([n for n, (size, _) in enumerate(parts) for _ in range(size)]))
+    labels = [[i + 1 for i, o in enumerate(owner) if o == n] for n in range(len(parts))]
+    covers = [
+        (label[j - 1], label[k - 1]) for label, (_, pairs) in zip(labels, parts) for j, k in pairs
+    ]
+    tags = tuple(draw(st.lists(st.sampled_from("ab"), min_size=len(owner), max_size=len(owner))))
+    return Poset(len(owner), covers), tags
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleaved_unions(), st.integers(0, 6))
+def test_stanley_sigma_matches_the_oracle_on_interleaved_disjoint_unions(case, truncation):
+    # The oracle counts the P-partitions of the whole union; Stanley's route
+    # multiplies its components' series. Up to 16 elements pass here because
+    # the guards apply per component.
+    p, tags = case
+    assert stanley_sigma(p, tags, truncation) == enumerate_ppartitions(p, tags, truncation)
+
+
 oracle_settings = settings(max_examples=60, deadline=None)
 
 

@@ -269,6 +269,41 @@ def test_stanley_sigma_antichain():
     assert s == TruncSeries2(3, {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4})
 
 
+def _recording_jordan_holder(monkeypatch):
+    """Patch jordan_holder to record each (poset, words) it returns."""
+    calls = []
+    original = poset.jordan_holder
+
+    def recorded(p):
+        words = original(p)
+        calls.append((p, words))
+        return words
+
+    monkeypatch.setattr(poset, "jordan_holder", recorded)
+    return calls
+
+
+def test_stanley_sigma_walks_each_component_on_its_own(monkeypatch):
+    # A 7-element antichain is seven one-element components: seven
+    # one-letter words in all, where the whole antichain has 7! words.
+    calls = _recording_jordan_holder(monkeypatch)
+    tags = ("a", "b", "b", "a", "b", "b", "b")
+    s = stanley_sigma(Poset(7), tags, 5)
+    assert [words for _, words in calls] == [[(1,)]] * 7
+    expected = RationalExpr(Poly2.one(), [(1, 0)] * 2 + [(0, 1)] * 5).expand(5)
+    assert s == expected
+
+
+def test_stanley_sigma_walks_an_ordinal_sum_whole(monkeypatch):
+    # A diamond is an ordinal sum, so it is connected and is walked as one
+    # poset; its blocks are never factored apart.
+    calls = _recording_jordan_holder(monkeypatch)
+    p, tags = build_diamond_poset(DiamondSpec((2, 1, 3)))
+    stanley_sigma(p, tags, 4)
+    assert [q for q, _ in calls] == [p]
+    assert len(calls[0][1]) == 2 * 1 * 6
+
+
 def test_stanley_sigma_single_diamond_block():
     # the 3-chain tagged (b, a, b) expands 1/((1-b)(1-ab)(1-ab^2))
     p, tags = build_diamond_poset(DiamondSpec.uniform(1, 1))
