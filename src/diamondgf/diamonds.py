@@ -74,7 +74,7 @@ def _image_terms(
     The cut reads base's own terms, so a base with a term in y alone keeps
     every factor, and a cancellation inside one factor ends nothing early.
     """
-    terms = [(i, j, c) for (i, j), c in base.terms.items()]
+    terms = [(i, j, c) for i, row in enumerate(base._rows) for j, c in enumerate(row) if c]
     cuts = bound is not None and base.coefficient(0, 0) == 1
     lowest: dict[int, int] = {}  # per power of x, the lowest power of y off the constant
     for i, j, _ in terms if cuts else ():
@@ -168,8 +168,8 @@ def _multifold_factors(
     degree above it. There and below, every term of a base in x and every
     denominator monomial lands past the bound, so what is left of a factor
     is its base's part in y alone. Like ``_image_terms``, this reads each
-    base's own terms: a base whose part in y alone is not exactly 1 keeps
-    its factor, once per block that uses it."""
+    base's own rows: a base whose row 0, its part in y alone, is not
+    exactly 1 keeps its factor, once per block that uses it."""
     y_image = image(Monomial2(1, 0))
     numerators = []
     denominator: list[Monomial2] = []
@@ -178,7 +178,7 @@ def _multifold_factors(
         x_image = image(Monomial2(above, n))
         if bound is not None and x_image.degree > bound:
             for d, count in Counter(spec.folds[: spec.length - n + 1]).items():
-                if [(m, c) for m, c in base(d).terms.items() if not m.exp_a] != [((0, 0), 1)]:
+                if base(d)._rows[:1] != [[1]]:
                     numerators += [(base(d), x_image, y_image)] * count
             break
         numerators.append((base(d_k), x_image, y_image))

@@ -6,10 +6,10 @@ Coefficients are plain Python integers, so partition counts never wrap
 around. Both kinds of value are stored as rows: ``rows[i][j]`` is the
 coefficient of a^i b^j. A polynomial's row ends at its last nonzero entry;
 a series with total-degree bound T has row i of T - i + 1 entries. Neither
-keeps a trailing all-zero row, so equal values have equal rows. The
-``terms`` map is built from the rows on first read and cached. The two
-variables are anonymous slots; names such as ``a, b`` or ``x, y`` are
-attached only at output time.
+keeps a trailing all-zero row, so equal values have equal rows. The rows
+are the only copy: the ``terms`` map is built from them anew on each read.
+The two variables are anonymous slots; names such as ``a, b`` or ``x, y``
+are attached only at output time.
 
 A product with ``geometric_series(m, T, p)``, that is 1/(1 - m)^p, on the
 right is a sweep over the left factor's rows, not a convolution: when m has
@@ -20,8 +20,8 @@ factor, with p its multiplicity.
 
 Values are immutable after construction and operations are pure, so they
 are safe to share across threads, and values may share rows: no kernel
-writes to a row it did not create. The only later writes, filling cached
-``terms`` or a geometric series' rows, are idempotent.
+writes to a row it did not create. The only later write, filling a
+geometric series' rows on first read, is idempotent.
 """
 
 from __future__ import annotations
@@ -251,20 +251,17 @@ class _TermMap:
     """What polynomials and truncated series share: rows, and the map from
     exponent pairs to nonzero coefficients that they give."""
 
-    __slots__ = ("_rows", "_terms")
+    __slots__ = ("_rows",)
 
     @property
-    def terms(self) -> Mapping[Monomial2, int]:
-        """Built from the rows on first read and cached; treat as read-only."""
-        terms = self._terms
-        if terms is None:
-            rows = self._rows
-            terms = {_monomial((i, j)): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
-            self._terms = terms
-        return terms
+    def terms(self) -> dict[Monomial2, int]:
+        """A new map built from the rows on each read, so the caller owns it."""
+        return {_monomial((i, j)): c for i, row in enumerate(self._rows) for j, c in enumerate(row) if c}
 
     def coefficient(self, exp_a: int, exp_b: int) -> int:
-        return self.terms.get(Monomial2(exp_a, exp_b), 0)
+        """rows[exp_a][exp_b], or 0 for an index below 0 or past a row."""
+        row = self._rows[exp_a] if 0 <= exp_a < len(self._rows) else ()
+        return row[exp_b] if 0 <= exp_b < len(row) else 0
 
     def sorted_terms(self) -> list[tuple[Monomial2, int]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]))
@@ -294,7 +291,7 @@ class Poly2(_TermMap):
     nonzero one, with no trailing empty row. A sum costs one C-level map per
     row. A product costs one slice add per pair of a term of one factor and
     a row of the other, the cheaper way round. x -> x*y is a shift of each
-    row, and division by 1 - b^k a running sum per row. Memory follows the
+    row, and division by 1 - b a running sum per row. Memory follows the
     exponents, not the term count: ``Poly2.monomial(0, 10**6)`` holds a row
     of 10^6 + 1 entries, about 8 MB.
 
@@ -309,9 +306,7 @@ class Poly2(_TermMap):
 
     def __init__(self, terms: Mapping | Iterable[tuple[MonomialLike, int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        collected = _collect(items)
-        self._rows = _rows_from_terms(collected.items())
-        self._terms = collected
+        self._rows = _rows_from_terms(_collect(items).items())
 
     @classmethod
     def one(cls) -> "Poly2":
@@ -427,32 +422,20 @@ class Poly2(_TermMap):
         return _poly(out)
 
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
-        """Return q with q * divisor == self for a divisor 1 - b^k, k >= 1,
-        the recurrence's only divisor. q[i][j] = self[i][j] + q[i][j - k] is
-        a running sum along each residue class mod k of each row, exact iff
-        every class's sum ends at 0, that is iff the last k entries of each
-        swept row are 0. For k = 1, the recurrence's case, a row's quotient
-        is built by one ``accumulate`` pass, with no copy first; larger k
-        sweep a copy with ``_sweep_row``. A remainder in any row raises
+        """Return q with q * divisor == self for the divisor 1 - b, the
+        Dockery-Jameson-Sellers-Wilson recurrence's only divisor. Each row
+        of q is the running sum of the row, one ``accumulate`` pass, exact
+        iff that sum ends at 0. A remainder in any row raises
         NonExactDivision, any other divisor ValueError."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        rows = divisor._rows
-        if not (len(rows) == 1 and rows[0][0] == 1 and rows[0][-1] == -1
-                and _term_count(rows) == 2):
-            raise ValueError(f"divide_exact divides only by 1 - b^k, not by {divisor.text()}")
-        step = len(rows[0]) - 1
+        if divisor._rows != [[1, -1]]:
+            raise ValueError(f"divide_exact divides only by 1 - b, not by {divisor.text()}")
         out: Rows = []
         for row in self._rows:
-            if step == 1:
-                quotient = list(accumulate(row))
-            else:
-                quotient = row[:]
-                _sweep_row(quotient, step)
-            cut = max(len(quotient) - step, 0)
-            if any(quotient[cut:]):
+            quotient = list(accumulate(row))
+            if quotient and quotient.pop():  # the last running sum is the remainder
                 raise NonExactDivision(f"no exact quotient by {divisor.text()}")
-            del quotient[cut:]  # an exact quotient row ends in a nonzero entry
             out.append(quotient)
         return _poly(out)
 
@@ -474,7 +457,6 @@ def _poly(rows: Rows) -> Poly2:
         rows.pop()
     poly = object.__new__(Poly2)
     poly._rows = rows
-    poly._terms = None
     return poly
 
 
@@ -559,7 +541,6 @@ class TruncSeries2(_TermMap):
                 raise ValueError(f"term {mono} exceeds truncation {truncation}")
         self._truncation = truncation
         self._rows = _series_rows(truncation, collected.items())
-        self._terms = collected
         self._ray = None
 
     @classmethod
@@ -568,7 +549,6 @@ class TruncSeries2(_TermMap):
         series = cls.__new__(cls)
         series._truncation = truncation
         series._rows = rows
-        series._terms = None
         series._ray = None
         return series
 
@@ -673,7 +653,7 @@ def geometric_series(mono: MonomialLike, truncation: int, power: int = 1) -> Tru
     if power < 1:
         raise ValueError("power must be at least 1")
     series = TruncSeries2.__new__(TruncSeries2)
-    series._truncation, series._terms, series._ray = truncation, None, (m, power)
+    series._truncation, series._ray = truncation, (m, power)
     return series  # _rows stays unset until TruncSeries2.__getattr__ builds it
 
 

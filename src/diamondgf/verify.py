@@ -32,19 +32,22 @@ def _list_difference(left: Sequence[int], right: Sequence[int]):
 
 @dataclass
 class VerifyReport:
-    """Outcome of one verification target. ``status`` is "fail" exactly when
-    a mismatch detail is present."""
+    """Outcome of one verification target. The mismatch is the one record of
+    failure: ``status`` is "fail" exactly when it is present, else "pass"."""
 
     command: str
     parameters: dict
-    status: str = "pass"
     mismatch: Optional[dict] = None
     details: list[str] = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.mismatch is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.mismatch is None else "fail"
 
     def compare(self, lhs_name: str, lhs, rhs_name: str, rhs, **context) -> bool:
         """Whether ``lhs`` equals ``rhs``.
@@ -70,7 +73,6 @@ class VerifyReport:
                 "lhs_coefficient": "absent" if lc is None else str(lc),
                 "rhs_coefficient": "absent" if rc is None else str(rc),
             }
-            self.status = "fail"
         return False
 
     def as_json_dict(self) -> dict:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import diamondgf
+from diamondgf import cli  # noqa: F401  (the tracer patches diamondgf.cli.main)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,9 +38,16 @@ def test_trace_target_is_defined_on_its_owner(module_name, path):
     assert callable(owner.__dict__[attr])
 
 
-# One small call per entry point each workload runs; together they must fire
-# every span tracing.EXPECTED requires, so a kernel change that routes
-# around a traced function fails here rather than in the benchmark.
+# A poset file for ``ppartition``, read from the test's working directory:
+# two components, one of them a fork with a folded element.
+POSET_FILE = "fork.poset"
+POSET_TEXT = "elements 5\ncover 1 2\ncover 1 3\ncover 4 5\nassign a 2 4\n"
+
+# One small call per entry point each workload runs, named by its path from
+# the package; together they must fire every span tracing.EXPECTED requires,
+# so a kernel change that routes around a traced function fails here rather
+# than in the benchmark. The verify workload runs ``cli.main`` in process,
+# as the benchmark does, once per target.
 WORKLOAD_CALLS = {
     "products": (
         ("apr_product", (5,)),
@@ -52,16 +60,32 @@ WORKLOAD_CALLS = {
         ("sigma_multifold_closed", (diamondgf.DiamondSpec((1, 2)), 4)),
         ("schmidt_closed", (2, 1, 4)),
     ),
+    "verify": tuple(("cli.main", (argv,)) for argv in (
+        ["verify", "main", "--d", "2", "--M", "2", "--trunc", "4"],
+        ["verify", "multifold", "--folds", "1,2", "--trunc", "4"],
+        ["verify", "schmidt", "--d", "1", "--M", "3", "--trunc", "4"],
+        ["verify", "stanley", "--count", "3", "--max-size", "4", "--trunc", "4"],
+        ["verify", "apr", "--trunc", "4"],
+        ["verify", "djsw-product", "--d", "2", "--trunc", "6"],
+        ["verify", "theorem1", "--dmax", "3"],
+        ["ppartition", POSET_FILE, "--trunc", "4", "--oracle"],
+    )),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
-def test_workload_fires_every_expected_span(workload):
+def test_workload_fires_every_expected_span(workload, tmp_path, monkeypatch, capsys):
+    (tmp_path / POSET_FILE).write_text(POSET_TEXT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     tracer = tracing.Tracer()
     tracer.install(diamondgf)
     try:
-        for name, args in WORKLOAD_CALLS[workload]:
-            getattr(diamondgf, name)(*args)
+        results = [
+            getattr(*tracing._resolve(diamondgf, name))(*args)
+            for name, args in WORKLOAD_CALLS[workload]
+        ]
     finally:
         tracer.uninstall()
     assert tracer.missing(workload) == []
+    if workload == "verify":  # every target passed, so none stopped short
+        assert results == [0] * len(results), capsys.readouterr()

@@ -831,17 +831,24 @@ def test_large_oracle_targets_pass_in_seconds(capsys, argv, seconds):
 
 
 def test_verify_report_invariant():
-    passing = VerifyReport(command="verify x", parameters={}, status="pass")
-    assert passing.passed and passing.mismatch is None
+    # The status is read from the mismatch, so it cannot be given apart from it.
+    passing = VerifyReport(command="verify x", parameters={})
+    assert passing.passed and passing.mismatch is None and passing.status == "pass"
     failing = VerifyReport(
         command="verify x",
         parameters={},
-        status="fail",
         mismatch={"monomial": [0, 1], "lhs_coefficient": "1", "rhs_coefficient": "2"},
     )
-    assert not failing.passed
+    assert not failing.passed and failing.status == "fail"
     assert (failing.status == "fail") == (failing.mismatch is not None)
     assert (passing.status == "fail") == (passing.mismatch is not None)
+    assert not passing.compare("lhs", [1, 2], "rhs", [1, 3])
+    assert passing.mismatch == {
+        "power": 1, "lhs": "lhs", "rhs": "rhs", "lhs_coefficient": "2", "rhs_coefficient": "3"
+    }
+    assert (passing.passed, passing.status) == (False, "fail")
+    with pytest.raises(TypeError):
+        VerifyReport(command="verify x", parameters={}, status="pass")
 
 
 def test_help_exits_zero(capsys):

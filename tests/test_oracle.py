@@ -1,6 +1,8 @@
+import ast
 import gc
 import itertools
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -430,3 +432,39 @@ def test_searches_leave_no_reference_cycles(search):
     finally:
         if enabled:
             gc.enable()
+
+
+def package_imports(module):
+    """(package module, imported names or None for the whole module) for
+    every import of the diamondgf package in the module's source, nested
+    imports included, relative or absolute."""
+    tree = ast.parse(Path(oracle.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = node.module or ""
+            if not node.level:
+                if path.split(".")[0] != "diamondgf":
+                    continue
+                path = path[len("diamondgf."):] if "." in path else ""
+            if path:
+                found.append((path.split(".")[0], tuple(a.name for a in node.names)))
+            else:  # from . import poset: each name is a module of the package
+                found += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(a.name.split(".")[1] if "." in a.name else "", None)
+                      for a in node.names if a.name.split(".")[0] == "diamondgf"]
+    return found
+
+
+def test_the_oracle_and_the_formula_side_stay_independent():
+    # The one deliberate duplication: the brute-force route shares the poset
+    # and the series container with the formula side, and nothing else, so
+    # a cross-check never compares code with itself.
+    imports = package_imports("oracle")
+    assert {module for module, _ in imports} <= {"poset", "series"}, imports
+    for module, names in imports:
+        if module == "series":
+            assert names is not None and set(names) <= {"TruncSeries2", "_check_truncation"}, names
+    for module in ("diamonds", "permstat", "poset", "series"):
+        assert "oracle" not in {m for m, _ in package_imports(module)}, module

@@ -136,13 +136,21 @@ def test_divide_exact_examples():
     assert numerator.divide_exact(ONE - Y) == ONE + X * Y
     with pytest.raises(NonExactDivision):
         (ONE + Y).divide_exact(ONE - Y)
-    # Rows 0 and 2 divide by 1 - b^k; row 1 alone leaves the remainder a.
-    for k in (1, 2):
+    # Rows 0 and 2 divide by 1 - b; row 1 alone leaves the remainder a.
+    dividend = (ONE - Y) * (ONE + X * Y + X * X * Y * Y) + X
+    assert len(dividend._rows) == 3
+    with pytest.raises(NonExactDivision):
+        dividend.divide_exact(ONE - Y)
+    # An empty row between two others stays empty in the quotient.
+    dividend = (ONE - Y) * (ONE + X * X * Y)
+    assert dividend._rows[1] == []
+    assert dividend.divide_exact(ONE - Y)._rows == [[1], [], [0, 1]]
+    # The recurrence divides by 1 - b alone, so 1 - b^k, k > 1, is refused
+    # even where the quotient is exact.
+    for k in (2, 3):
         divisor = ONE - Poly2.monomial(0, k)
-        dividend = divisor * (ONE + X * Y + X * X * Y * Y) + X
-        assert len(dividend._rows) == 3
-        with pytest.raises(NonExactDivision):
-            dividend.divide_exact(divisor)
+        with pytest.raises(ValueError, match=r"divides only by 1 - b, not by 1 \+ -b\^"):
+            (divisor * (ONE + X * Y)).divide_exact(divisor)
 
 
 def test_divide_exact_zero_divisor():
@@ -152,23 +160,23 @@ def test_divide_exact_zero_divisor():
 
 @pytest.mark.parametrize(
     "divisor",
-    [-(ONE - X * Y), ONE + Y, ONE - 2 * X, X - Y, ONE],
-    ids=["-(1 - m)", "1 + m", "1 - 2m", "two monomials", "one"],
+    [-(ONE - X * Y), ONE + Y, ONE - 2 * X, X - Y, ONE, ONE - Y * Y, Y - ONE],
+    ids=["-(1 - m)", "1 + m", "1 - 2m", "two monomials", "one", "1 - b^2", "b - 1"],
 )
 def test_divide_exact_refuses_a_divisor_not_of_the_form_one_minus_m(divisor):
-    with pytest.raises(ValueError, match=r"only by 1 - b\^k"):
+    with pytest.raises(ValueError, match=r"divides only by 1 - b, not by"):
         (divisor * (ONE + X)).divide_exact(divisor)
 
 
 @pytest.mark.parametrize("m", [X, X * Y, X * X * Y * Y * Y], ids=["a", "a*b", "a^2*b^3"])
 def test_divide_exact_refuses_one_minus_a_monomial_with_an_a(m):
-    # The recurrence divides by 1 - y alone, so 1 - m is taken only for m = b^k.
-    with pytest.raises(ValueError, match=r"only by 1 - b\^k"):
+    # The recurrence divides by 1 - y alone, so 1 - m is taken only for m = b.
+    with pytest.raises(ValueError, match=r"divides only by 1 - b, not by"):
         ((ONE - m) * (ONE + Y)).divide_exact(ONE - m)
 
 
 # A ray m = a^alpha b^beta along b alone, along a alone, or along both; the
-# divisor 1 - m is taken only along b alone.
+# divisor 1 - m is taken only for m = b.
 b_rays = st.tuples(st.just(0), st.integers(1, 4))
 rays = st.one_of(
     b_rays,
@@ -177,29 +185,26 @@ rays = st.one_of(
 )
 
 
-def is_one_minus_b_power(q):
-    """Whether q is 1 - b^k for some k >= 1, read off its terms."""
-    terms = dict(q.terms)
-    return (len(terms) == 2 and terms.pop((0, 0), None) == 1 and list(terms.values()) == [-1]
-            and not next(iter(terms)).exp_a)
-
-
 @kernel_settings
 @given(polys, b_rays)
 def test_divide_round_trip_random(p, ray):
+    assert (p * (ONE - Y)).divide_exact(ONE - Y) == p
     q = ONE - Poly2.monomial(*ray)
-    assert (p * q).divide_exact(q) == p
+    if q != ONE - Y:
+        with pytest.raises(ValueError, match="divides only by 1 - b"):
+            (p * q).divide_exact(q)
 
 
 @kernel_settings
-@given(polys, st.one_of(rays.map(lambda ray: ONE - Poly2.monomial(*ray)), nonzero_polys), polys)
+@given(polys, st.one_of(st.just(ONE - Y), rays.map(lambda ray: ONE - Poly2.monomial(*ray)),
+                        nonzero_polys), polys)
 def test_divide_exact_matches_reference_division(p, q, r):
-    # p*q + r is exact when r == 0 and usually not otherwise; a divisor
-    # 1 - b^k must match the reference on the quotient or on the failure,
-    # and any other divisor is refused.
+    # p*q + r is exact when r == 0 and usually not otherwise; the divisor
+    # 1 - b must match the reference on the quotient or on the failure,
+    # and any other divisor, 1 - b^k for k > 1 included, is refused.
     dividend = p * q + r
-    if not is_one_minus_b_power(q):
-        with pytest.raises(ValueError):
+    if q != ONE - Y:
+        with pytest.raises(ValueError, match="divides only by 1 - b"):
             dividend.divide_exact(q)
         return
     try:
@@ -214,24 +219,25 @@ def test_divide_exact_matches_reference_division(p, q, r):
 @kernel_settings
 @given(polys, b_rays, polys)
 def test_division_by_one_minus_a_ray_matches_reference_division(p, ray, r):
-    # The contract of divide_exact: by 1 - m with m = b^k, the reference's
-    # quotient or a NonExactDivision where the reference leaves a remainder;
-    # -(1 - m) and 1 + m, one sign away from it, are refused, and so is zero.
-    one_minus_m = ONE - Poly2.monomial(*ray)
-    dividend = p * one_minus_m + r
+    # The contract of divide_exact: by 1 - b, the reference's quotient or a
+    # NonExactDivision where the reference leaves a remainder; -(1 - b) and
+    # 1 + b, one sign away from it, are refused, and so are zero and 1 - m
+    # for any other ray m = b^k along b.
+    dividend = p * (ONE - Y) + r
     try:
-        expected = reference_divide(dividend, one_minus_m)
+        expected = reference_divide(dividend, ONE - Y)
     except NonExactDivision:
         with pytest.raises(NonExactDivision):
-            dividend.divide_exact(one_minus_m)
+            dividend.divide_exact(ONE - Y)
     else:
-        quotient = dividend.divide_exact(one_minus_m)
+        quotient = dividend.divide_exact(ONE - Y)
         assert quotient == expected
         assert_valid_term_map(quotient)
     if not r:
-        assert dividend.divide_exact(one_minus_m) == p
-    for divisor in (-one_minus_m, ONE + Poly2.monomial(*ray)):
-        with pytest.raises(ValueError):
+        assert dividend.divide_exact(ONE - Y) == p
+    refused = [-(ONE - Y), ONE + Y] + ([ONE - Poly2.monomial(*ray)] if ray != (0, 1) else [])
+    for divisor in refused:
+        with pytest.raises(ValueError, match="divides only by 1 - b"):
             dividend.divide_exact(divisor)
     with pytest.raises(ZeroDivisionError):
         dividend.divide_exact(Poly2())
@@ -279,9 +285,7 @@ def test_kernel_results_are_valid_term_maps(p, q, bound, x_image, y_image):
     results = [p + q, p - q, 1 - p, -p, p * q, p * p, p.mul_bounded(q, bound)]
     results.append(p.substitute(x_image, y_image))
     factors = tuple(Monomial2(*m) for m in (x_image, y_image) if sum(m))
-    for m in factors:
-        one_minus_b_power = ONE - Poly2.monomial(0, m.degree)
-        results.append((p * one_minus_b_power).divide_exact(one_minus_b_power))
+    results.append((p * (ONE - Y)).divide_exact(ONE - Y))
     s, t = TruncSeries2.from_poly(p, bound), TruncSeries2.from_poly(q, bound)
     results += [s, s + t, s - t, s * t, s - s]
     results += [geometric_series(m, bound) for m in factors]
@@ -294,6 +298,31 @@ def test_kernel_results_are_valid_term_maps(p, q, bound, x_image, y_image):
         assert_valid_term_map(result)
     assert s - s == TruncSeries2.zero(bound)
     assert (p - p)._rows == [] and p - p == Poly2()
+
+
+@kernel_settings
+@given(polys, polys, bounds)
+def test_terms_are_built_afresh_and_coefficient_reads_the_rows(p, q, bound):
+    # No value keeps a term map: each read is a new one the caller owns, and
+    # a coefficient is read from the rows, 0 off them on every side.
+    s, t = TruncSeries2.from_poly(p, bound), TruncSeries2.from_poly(q, bound)
+    values = [
+        p, q, p * q, p - q, p.mul_bounded(q, bound), p.substitute((1, 1), (0, 1)),
+        (p * (ONE - Y)).divide_exact(ONE - Y), s, s * t, s + t, TruncSeries2(bound, s.terms),
+        s * geometric_series((0, 1), bound, 2), geometric_series((1, 1), bound),
+        RationalExpr(q, ((1, 0), (0, 2))).expand(bound),
+    ]
+    for value in values:
+        rows = [row[:] for row in value._rows]
+        first, second = value.terms, value.terms
+        assert first == second and first is not second
+        first[Monomial2(0, 0)] = first.get((0, 0), 0) + 1
+        first[Monomial2(9, 9)] = 1
+        assert value.terms == second and value._rows == rows
+        top = max((max(mono) for mono in second), default=0)
+        for i in range(-2, top + 3):
+            for j in range(-2, top + 3):
+                assert value.coefficient(i, j) == second.get((i, j), 0)
 
 
 # Coefficients past 64 bits or negative, so no kernel can lean on machine
@@ -409,10 +438,9 @@ def reference_substitute(terms, x_image, y_image):
 
 @st.composite
 def row_shaped_operands(draw):
-    """(p, q, m): operands in one of three shapes that the row kernels treat
-    differently, and a monomial m whose degree k sets the divisor 1 - b^k."""
+    """(p, q): operands in one of three shapes that the row kernels treat
+    differently."""
     shape = draw(st.sampled_from(["long", "tall", "cancelling"]))
-    m = draw(nonconstant)
     if shape == "long":
         # A long row in b alone against a factor of one to three terms.
         p = Poly2({(0, j): c for j, c in enumerate(draw(st.lists(coefficients, max_size=300)))})
@@ -426,25 +454,25 @@ def row_shaped_operands(draw):
         p, q = tall(), tall()
     else:
         # c*u*(1 - m) against r*(1 + m + ... + m^j): all but the ends cancel.
-        u, c = draw(exponents), draw(coefficients.filter(bool))
+        m, u, c = draw(nonconstant), draw(exponents), draw(coefficients.filter(bool))
         p = Poly2({u: c, (u[0] + m[0], u[1] + m[1]): -c})
         run = {(k * m[0], k * m[1]): 1 for k in range(draw(st.integers(1, 8)))}
         q = Poly2(reference_product(draw(st.dictionaries(exponents, coefficients, max_size=5)), run,
                                     math.inf))
-    return p, q, m
+    return p, q
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), row_shaped_operands())
 def test_row_kernels_match_independent_references(data, operands):
-    p, q, m = operands
+    p, q = operands
     # From below both operands' degrees to past the full product's.
     bound = data.draw(st.integers(-1, degree(p) + degree(q) + 1))
     images = data.draw(st.tuples(exponents, exponents))
     shift = (1, data.draw(st.integers(0, 3)))  # x -> x*y^s, y -> y: the recurrence's row shift
     full = reference_product(p.terms, q.terms, math.inf)
     kept = reference_product(p.terms, q.terms, bound)
-    divisor = Poly2({(0, 0): 1, (0, sum(m)): -1})
+    divisor = Poly2({(0, 0): 1, (0, 1): -1})
     checks = [
         (p * q, full), (q * p, full), (p.mul_bounded(q, bound), kept), (q.mul_bounded(p, bound), kept),
         (p + q, reference_sum(p.terms, q.terms, 1)), (p - q, reference_sum(p.terms, q.terms, -1)),
@@ -790,7 +818,7 @@ def grlex_scan(left, right):
 def poly_routes(terms):
     """The polynomial with the given term map, built four ways."""
     p = Poly2(terms)
-    ray = ONE - Y * Y
+    ray = ONE - Y
     return [
         p,
         sum((Poly2.monomial(a, b, c) for (a, b), c in terms.items()), Poly2()),
